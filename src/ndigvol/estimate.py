@@ -8,7 +8,11 @@ characteristic-function distance:
 where dCF^2 is a Gaussian-weighted quadrature of |ecf(v) - chf(v)|^2.  The
 weight exp(-v^2) tames the noise-dominated large-|v| region of the ecf,
 following the weighted-distance approach of the ecf estimation literature.
-Both model and sample moments are read at the unit (daily) horizon.
+The integrand is even in v (ecf and chf are both Hermitian), so the
+symmetric trapezoid grid is folded onto its v >= 0 half and the nodes of
+negligible weight are dropped: the default 101-node grid is evaluated on 16
+nodes (see ``CfQuadrature.folded_nodes_and_weights``).  Both model and
+sample moments are read at the unit (daily) horizon.
 
 gamma is held at 0 and the subordinator means at 1 throughout; positivity
 of sigma3 and the lambdas is enforced by log-reparameterization.  The
@@ -27,7 +31,7 @@ from datetime import date
 import numpy as np
 from scipy.optimize import minimize
 
-from .model import MomentSet, NDIGParams, chf, feasible_interval, moments
+from .model import MomentSet, NDIGParams, chf, cumulants
 
 __all__ = [
     "ReturnSeries",
@@ -43,6 +47,13 @@ __all__ = [
 ]
 
 FEASIBILITY_PENALTY = 1.0e6
+# Nelder-Mead stopping tolerances on the parameter vector and the objective
+XATOL = 1e-7
+FATOL = 1e-12
+# evaluation budget of each warm-started window of rolling_fit
+WARM_MAX_EVALS = 2000
+# ecf node pairs whose grid weight is below this share of the largest are dropped
+NODE_WEIGHT_FLOOR = 1e-16
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,40 @@ class CfQuadrature:
     v_max: float = 20.0
     n_nodes: int = 101
 
+    def __post_init__(self) -> None:
+        # the fold pairs node k with node n_nodes - 1 - k on an ascending grid
+        if not self.v_max > 0.0:
+            raise ValueError(f"cf_v_max must be positive, got {self.v_max}")
+        if self.n_nodes < 2:
+            raise ValueError(f"cf_nodes must be at least 2, got {self.n_nodes}")
+
     def nodes_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         v = np.linspace(-self.v_max, self.v_max, self.n_nodes)
         dv = np.full(self.n_nodes, v[1] - v[0])
         dv[0] *= 0.5
         dv[-1] *= 0.5
         return v, dv * np.exp(-v * v)
+
+    def folded_nodes_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid folded onto v >= 0 and pruned, for integrands even in v.
+
+        Node k mirrors node n_nodes - 1 - k by construction, so the fold is
+        by index rather than by float equality of the nodes: each v > 0 node
+        carries its own weight and its mirror's (twice its weight), and the
+        v = 0 node of an odd grid keeps its single weight.  Node pairs whose
+        grid weight is below ``NODE_WEIGHT_FLOOR`` times the largest grid
+        weight are dropped.  Since |ecf - chf| <= 2, folding and pruning
+        change dCF^2 by at most 4 * sum(dropped grid weights) in absolute
+        terms, beyond rounding.
+        """
+        v, w = self.nodes_and_weights()
+        half = self.n_nodes // 2
+        v_half, w_half = v[half:], w[half:]
+        folded = 2.0 * w_half
+        if self.n_nodes % 2:
+            folded[0] = w_half[0]
+        keep = w_half >= NODE_WEIGHT_FLOOR * w.max()
+        return v_half[keep], folded[keep]
 
 
 @dataclass(frozen=True)
@@ -99,8 +138,6 @@ class FitConfig:
     seed: int = 0
     quadrature: CfQuadrature = field(default_factory=CfQuadrature)
     min_length: int = 100
-    xatol: float = 1e-7
-    fatol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -157,30 +194,48 @@ def empirical_chf(series: ReturnSeries, v) -> complex | np.ndarray:
     return out if np.ndim(v) else complex(out[0])
 
 
+def _excludes_w1(p: NDIGParams) -> bool:
+    """Whether ``feasible_interval(p).w_hi <= 1`` (gamma = 0), in closed form.
+
+    Each bounding quadratic sigma3^2 w^2 + 2 rho w - c (c = lambda_u / 2 or
+    lambda_t) is negative at w = 0, so its upper root is at most 1 exactly
+    when the quadratic is non-negative at w = 1.
+    """
+    return p.sigma3**2 + 2.0 * p.rho >= min(p.lambda_t, p.lambda_u / 2.0)
+
+
 class _PreparedObjective:
-    """Per-series precomputation shared across objective evaluations."""
+    """Per-series precomputation shared across objective evaluations.
+
+    ``terms`` reads the sample moments ``emp`` and the ecf ``ecf`` at the
+    folded nodes ``v`` with weights ``weights``; it builds no intermediate
+    moment or interval objects, since the simplex calls it thousands of
+    times per fit.
+    """
 
     def __init__(self, series: ReturnSeries, quadrature: CfQuadrature):
         self.emp = empirical_moments(series)
         for name in ("mean", "variance", "skewness", "kurtosis"):
             if getattr(self.emp, name) == 0.0:
                 raise ValueError(f"degenerate return series: zero sample {name}")
-        self.v, self.weights = quadrature.nodes_and_weights()
+        self.v, self.weights = quadrature.folded_nodes_and_weights()
         self.ecf = np.asarray(empirical_chf(series, self.v))
 
     def terms(self, p: NDIGParams) -> tuple[float, float, float, float, float]:
-        m = moments(p)
-        dm1 = 1.0 - m.mean / self.emp.mean
-        dm2 = 1.0 - m.variance / self.emp.variance
-        dm3 = 1.0 - m.skewness / self.emp.skewness
-        dm4 = 1.0 - m.kurtosis / self.emp.kurtosis
+        # the standardization is that of model.moments, term for term
+        k1, k2, k3, k4 = cumulants(p)
+        emp = self.emp
+        dm1 = 1.0 - k1 / emp.mean
+        dm2 = 1.0 - k2 / emp.variance
+        dm3 = 1.0 - k3 / k2**1.5 / emp.skewness
+        dm4 = 1.0 - (k4 / k2**2 + 3.0) / emp.kurtosis
         diff = self.ecf - chf(self.v, p)
-        dcf2 = float(np.sum(self.weights * (diff.real**2 + diff.imag**2)))
+        dcf2 = float(np.dot(self.weights, diff.real**2 + diff.imag**2))
         return dm1 * dm1, dm2 * dm2, dm3 * dm3, dm4 * dm4, dcf2
 
     def value(self, p: NDIGParams) -> float:
         val = sum(self.terms(p))
-        if feasible_interval(p).w_hi <= 1.0:
+        if _excludes_w1(p):
             val += FEASIBILITY_PENALTY
         return val
 
@@ -207,12 +262,13 @@ def _to_vector(p: NDIGParams) -> np.ndarray:
 
 
 def _from_vector(x: np.ndarray) -> NDIGParams:
+    mu3, log_sigma3, rho, log_lambda_t, log_lambda_u = x.tolist()
     return NDIGParams(
-        mu3=float(x[0]),
-        sigma3=float(np.exp(np.clip(x[1], -50, 50))),
-        rho=float(x[2]),
-        lambda_t=float(np.exp(np.clip(x[3], -50, 50))),
-        lambda_u=float(np.exp(np.clip(x[4], -50, 50))),
+        mu3=mu3,
+        sigma3=math.exp(min(max(log_sigma3, -50.0), 50.0)),
+        rho=rho,
+        lambda_t=math.exp(min(max(log_lambda_t, -50.0), 50.0)),
+        lambda_u=math.exp(min(max(log_lambda_u, -50.0), 50.0)),
     )
 
 
@@ -243,8 +299,8 @@ def _run_simplex(
         method="Nelder-Mead",
         options={
             "maxfev": config.max_evals,
-            "xatol": config.xatol,
-            "fatol": config.fatol,
+            "xatol": XATOL,
+            "fatol": FATOL,
             "adaptive": True,
         },
     )
@@ -305,20 +361,20 @@ def rolling_fit(
     step: int = 1,
     warm_start: bool = True,
     config: FitConfig | None = None,
-    warm_max_evals: int = 2000,
 ) -> RollingFitSeries:
     """One fit per length-``window`` moving window of the return series.
 
     With ``warm_start`` each window after the first runs a single simplex
     search initialized at the previous optimum (the data shifts by ``step``
     points, so the optimum barely moves); cold windows rerun the full
-    restart schedule.
+    restart schedule.  Warm searches stop after ``WARM_MAX_EVALS``
+    evaluations.
     """
     cfg = config or FitConfig()
     n = len(series)
     if n < window:
         raise ValueError(f"series length {n} shorter than window {window}")
-    warm_cfg = replace(cfg, n_restarts=1, max_evals=warm_max_evals)
+    warm_cfg = replace(cfg, n_restarts=1, max_evals=WARM_MAX_EVALS)
 
     ends: list[date] = []
     results: list[FitResult] = []

@@ -7,18 +7,27 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from conftest import random_params
 from ndigvol import (
     CfQuadrature,
     FitConfig,
     NDIGParams,
     ReturnSeries,
+    chf,
     empirical_chf,
     empirical_moments,
+    feasible_interval,
     fit,
     moments,
     objective,
     rolling_fit,
     simulate_paths,
+)
+from ndigvol.estimate import (
+    FEASIBILITY_PENALTY,
+    NODE_WEIGHT_FLOOR,
+    _excludes_w1,
+    _PreparedObjective,
 )
 
 
@@ -140,6 +149,72 @@ class TestObjective:
         assert prep.value(bad) > 1e6
 
 
+class TestFoldedQuadrature:
+    @pytest.mark.parametrize("kwargs", [{"v_max": 0.0}, {"v_max": -20.0}, {"n_nodes": 1}])
+    def test_degenerate_grid_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="cf_"):
+            CfQuadrature(**kwargs)
+
+    def test_default_grid_keeps_sixteen_nodes(self):
+        v, w = CfQuadrature().folded_nodes_and_weights()
+        assert len(v) == 16
+        assert v[0] == 0.0
+        assert np.all(np.diff(v) > 0.0)
+        assert np.all(w > 0.0)
+
+    @pytest.mark.parametrize(
+        "n_nodes, v_max",
+        [(101, 20.0), (100, 20.0), (51, 7.3), (64, 12.5), (33, 6.1), (150, 17.7), (9, 3.0)],
+    )
+    def test_folded_sum_matches_full_trapezoid(self, btc_params, n_nodes, v_max):
+        # |ecf - chf|^2 <= 4, so the pruned nodes move dCF^2 by at most
+        # 4 * sum(dropped grid weights); the rest is rounding
+        quad = CfQuadrature(v_max=v_max, n_nodes=n_nodes)
+        s = simulated_series(btc_params, 1008, seed=21)
+        v, w = quad.nodes_and_weights()
+        dropped = w[w < NODE_WEIGHT_FLOOR * w.max()].sum()
+        prep = _PreparedObjective(s, quad)
+        for p in (btc_params, replace(btc_params, sigma3=0.08, rho=0.01, lambda_u=0.5)):
+            diff = empirical_chf(s, v) - chf(v, p)
+            brute = float(np.sum(w * np.abs(diff) ** 2))
+            folded = prep.terms(p)[4]
+            assert brute > 0.0
+            assert abs(folded - brute) <= 4.0 * dropped + 1e-12 * brute
+
+
+# sigma3^2 + 2 rho lands exactly on lambda_u / 2 or on lambda_t, with dyadic
+# values so that the upper quadratic root is exactly 1 as well
+W1_BOUNDARY = [
+    NDIGParams(mu3=0.0, sigma3=0.5, rho=0.125, lambda_t=4.0, lambda_u=1.0),
+    NDIGParams(mu3=0.0, sigma3=0.5, rho=0.125, lambda_t=0.5, lambda_u=4.0),
+    NDIGParams(mu3=0.0, sigma3=1.0, rho=0.0, lambda_t=8.0, lambda_u=2.0),
+    NDIGParams(mu3=0.0, sigma3=1.0, rho=-0.25, lambda_t=0.5, lambda_u=2.0),
+]
+NEAR_W1_BOUNDARY = W1_BOUNDARY + [
+    replace(p, lambda_t=p.lambda_t * scale, lambda_u=p.lambda_u * scale)
+    for p in W1_BOUNDARY
+    for scale in (1.0 - 1e-9, 1.0 + 1e-9)
+]
+
+
+class TestFeasibilityClosedForm:
+    def test_matches_feasible_interval(self):
+        rng = np.random.default_rng(2024)
+        draws = [random_params(rng) for _ in range(2000)] + NEAR_W1_BOUNDARY
+        excluded = [_excludes_w1(p) for p in draws]
+        assert excluded == [feasible_interval(p).w_hi <= 1.0 for p in draws]
+        assert 0 < sum(excluded) < len(draws)
+        assert all(_excludes_w1(p) for p in W1_BOUNDARY)
+
+    def test_value_adds_penalty_exactly_when_w1_excluded(self, btc_params):
+        prep = _PreparedObjective(simulated_series(btc_params, 2000, seed=3), CfQuadrature())
+        rng = np.random.default_rng(7)
+        draws = [random_params(rng) for _ in range(300)] + NEAR_W1_BOUNDARY
+        for p in draws:
+            penalty = FEASIBILITY_PENALTY if feasible_interval(p).w_hi <= 1.0 else 0.0
+            assert prep.value(p) == sum(prep.terms(p)) + penalty
+
+
 class TestFit:
     def test_recovers_sample_moments(self, btc_params):
         s = simulated_series(btc_params, 30_000, seed=1)
@@ -229,9 +304,6 @@ class TestRollingFit:
 def test_objective_is_zero_when_model_matches_sample(btc_params):
     # force the prepared sample statistics to the model's own values: every
     # term of the objective must then vanish identically
-    from ndigvol.estimate import CfQuadrature, _PreparedObjective
-    from ndigvol import chf
-
     s = simulated_series(btc_params, 500, seed=13)
     prep = _PreparedObjective(s, CfQuadrature())
     prep.emp = moments(btc_params)

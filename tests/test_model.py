@@ -277,3 +277,25 @@ def test_cgf_power_identity_matches_powered_chf(btc_params):
         lhs = math.exp(t * cgf(float(w), btc_params))
         rhs = chf(-1j * float(w), btc_params) ** t
         assert lhs == pytest.approx(rhs.real, rel=1e-12)
+
+
+def test_chf_exponent_matches_unfactored_form():
+    # chf_exponent folds its scalar factors together and skips the gamma
+    # term at gamma = 0; scaling by 2j or 1j is exact, so every element must
+    # equal the term-by-term expression of the nested radicals exactly
+    def unfactored(u, p):
+        u = np.asarray(u, dtype=complex)
+        h = 1.0 - (2j * u * p.rho - p.sigma3**2 * u * u) / p.lambda_t
+        g = (
+            1.0
+            - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - np.sqrt(h))
+            - 2j * u * p.gamma / p.lambda_u
+        )
+        return 1j * u * p.mu3 + p.lambda_u * (1.0 - np.sqrt(g))
+
+    rng = np.random.default_rng(17)
+    v = np.linspace(-60.0, 60.0, 241)
+    for i in range(300):
+        p = random_params(rng, with_gamma=i % 2 == 1)
+        for u in (v, v - 1.4j, v - 1j * rng.uniform(0.0, 3.0)):
+            assert np.array_equal(chf_exponent(u, p), unfactored(u, p))
