@@ -1,4 +1,4 @@
-"""Risk-neutral transform and Carr-Madan FFT European call pricing.
+"""Risk-neutral transform, Carr-Madan FFT call pricing and implied vols.
 
 The mean-correcting martingale measure shifts the drift so the discounted
 price is a martingale:
@@ -14,10 +14,19 @@ Calls are priced by inverting the damped transform
            Re∫_0^inf exp(-i v k) phi(v - i(a+1)) / ((a+iv)(a+1+iv)) dv
 
 on a log-strike lattice via a single FFT.  The denominator expands to
-a^2 + a - v^2 + i(2a+1)v.  The integral head is trapezoid-corrected by
-default (half weight on the v=0 node): with a plain left-rectangle rule
-the sum carries a k-independent bias of dv/2 * phi(-i(a+1))/(a^2+a),
-orders of magnitude above any useful tolerance.
+a^2 + a - v^2 + i(2a+1)v.  The integral head is trapezoid-corrected (half
+weight on the v=0 node): a plain left-rectangle rule would carry a
+k-independent bias of dv/2 * phi(-i(a+1))/(a^2+a), orders of magnitude
+above any useful tolerance.
+
+A chain (calls, parity puts, bound flags) is built on whole arrays, one FFT
+per maturity.  Implied vols of a whole surface are solved in one array
+pass: a safeguarded Newton iteration on the log price of the
+out-of-the-money option (its slope is vega over price), with a bisection
+step whenever Newton would leave the bracket [1e-8, 20] as narrowed so
+far.  It stops at a vol tolerance of 1e-14 + 8.9e-16 * vol, and a vol is
+returned only if bsm_price reprices the call within 1e-10 * max(1, price);
+every other cell gets NaN.
 """
 
 from __future__ import annotations
@@ -27,8 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import NDIGParams, cgf, chf_exponent, feasible_interval, max_damping
 
@@ -47,6 +55,14 @@ __all__ = [
 ]
 
 DAYS_PER_YEAR = 365.0
+# implied-vol solver: absolute and relative vol tolerances (scipy brentq's
+# xtol and rtol, so vols agree with a Brent inversion), repricing tolerance
+# relative to max(1, price), iteration cap
+_VOL_XTOL = 1e-14
+_VOL_RTOL = 8.9e-16
+_PRICE_TOL = 1e-10
+_MAX_ITER = 200
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -72,11 +88,6 @@ class FFTGridConfig:
     dv * dk = 2*pi/n, equivalently v_max * k_bar = pi * n.  The damping
     must satisfy 0 < a < max_damping(params) at pricing time.
 
-    ``rule`` selects the head treatment of the frequency integral:
-    "trapezoid" (default, half weight on the v=0 node) or "rectangle"
-    (plain left-rectangle; kept for comparison, biased: see module
-    docstring).
-
     Aliasing wraps the damped price with period 2*k_bar in log-strike, so
     the spurious image is of order s0 * exp(-2 * a * k_bar); keep
     2*a*k_bar >= ~18 when choosing custom spacings.
@@ -85,7 +96,6 @@ class FFTGridConfig:
     n: int = 1024
     damping: float = 0.40
     dv: float = 0.25
-    rule: str = "trapezoid"
 
     def __post_init__(self) -> None:
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
@@ -94,8 +104,6 @@ class FFTGridConfig:
             raise ValueError("damping must be positive")
         if not self.dv > 0.0:
             raise ValueError("dv must be positive")
-        if self.rule not in ("trapezoid", "rectangle"):
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
 
     @property
     def dk(self) -> float:
@@ -181,8 +189,7 @@ def carr_madan_prices(
     v = np.arange(grid.n) * grid.dv
     h = _damped_integrand(v, p, ctx, a, k1)
     w = np.full(grid.n, grid.dv)
-    if grid.rule == "trapezoid":
-        w[0] *= 0.5
+    w[0] *= 0.5
     transform = np.fft.fft(np.exp(1j * (grid.k_bar - log_s0) * v) * h * w)
     k = log_s0 - grid.k_bar + np.arange(grid.n) * grid.dk
     calls = np.exp(-ctx.r * ctx.maturity - a * k) / math.pi * transform.real
@@ -225,7 +232,7 @@ def bsm_price(ctx: MarketContext, strike: float, vol: float) -> float:
     sq = vol * math.sqrt(ctx.maturity)
     d1 = (math.log(ctx.s0 / strike) + (ctx.r + 0.5 * vol * vol) * ctx.maturity) / sq
     d2 = d1 - sq
-    return ctx.s0 * norm.cdf(d1) - strike * math.exp(-ctx.r * ctx.maturity) * norm.cdf(d2)
+    return ctx.s0 * ndtr(d1) - strike * math.exp(-ctx.r * ctx.maturity) * ndtr(d2)
 
 
 def implied_vol(
@@ -238,7 +245,8 @@ def implied_vol(
     """Invert bsm_price for the annualized volatility, price tolerance 1e-10.
 
     Raises when the observed price sits outside the no-arbitrage band
-    (max(S - K e^{-r tau}, 0), S).
+    (max(S - K e^{-r tau}, 0), S), or when no vol in [lo, hi] reprices it
+    within 1e-10 * max(1, price).
     """
     intrinsic = max(ctx.s0 - strike * math.exp(-ctx.r * ctx.maturity), 0.0)
     if observed_price <= intrinsic or observed_price >= ctx.s0:
@@ -246,14 +254,72 @@ def implied_vol(
             f"price {observed_price} outside no-arbitrage band "
             f"({intrinsic:.6g}, {ctx.s0:.6g}); no implied volatility exists"
         )
-    f = lambda vol: bsm_price(ctx, strike, vol) - observed_price
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > 0.0 or f_hi < 0.0:  # pragma: no cover - band check above
-        raise ValueError("implied volatility bracket failed")
-    vol = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    if abs(f(vol)) > 1e-10 * max(1.0, observed_price):
-        raise ValueError("implied volatility root did not reach price tolerance")
-    return float(vol)
+    vol = float(_implied_vols(ctx.s0, ctx.r, strike, ctx.maturity, observed_price, lo, hi))
+    if math.isnan(vol):
+        raise ValueError("implied volatility did not reach the price tolerance")
+    return vol
+
+
+def _implied_vols(s0, r, strikes, maturities, prices, lo=1e-8, hi=20.0) -> np.ndarray:
+    """Black-Scholes implied vols of call prices, elementwise over broadcast arrays.
+
+    NaN where the price leaves the no-arbitrage band, where the root lies
+    outside [lo, hi], or where the vol found misses the price tolerance.
+    Iterates on the log price of the out-of-the-money option (the put
+    where the call is in the money, by parity), which is close to linear in
+    vol far into the wings where the call price itself is not; every cell
+    starts at vol 1.
+    """
+    cells = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (strikes, maturities, prices)))
+    shape = cells[0].shape
+    k, tau, c = (a.ravel() for a in cells)
+    sqrt_t = np.sqrt(tau)
+    log_m = np.log(s0 / k)
+    disc_k = k * np.exp(-r * tau)
+    intrinsic = np.maximum(s0 - disc_k, 0.0)
+    sign = np.where(disc_k < s0, -1.0, 1.0)
+    vols = np.full(c.shape, math.nan)
+    with np.errstate(all="ignore"):
+        const = np.stack([sqrt_t, log_m, tau, sign, disc_k, np.log(c - intrinsic)])
+
+        def excess_and_slope(vol, const):
+            """(log OTM price - log target, OTM price / vega) at vol."""
+            sqrt_t, log_m, tau, sign, disc_k, target = const
+            sq = vol * sqrt_t
+            d1 = (log_m + (r + 0.5 * vol * vol) * tau) / sq
+            otm = sign * (s0 * ndtr(sign * d1) - disc_k * ndtr(sign * (d1 - sq)))
+            vega = s0 * sqrt_t * np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+            return np.log(otm) - target, otm / vega
+
+        # a NaN excess is a negative OTM price from rounding: below the target
+        ends = excess_and_slope(np.array([[lo], [hi]]), const[:, None, :])[0]
+        live = np.flatnonzero((c > intrinsic) & (c < s0) & ~(ends[0] > 0.0) & (ends[1] >= 0.0))
+        const = const[:, live]
+        x = np.full(live.size, min(max(1.0, lo), hi))
+        lo_v, hi_v = np.full(live.size, lo), np.full(live.size, hi)
+        for _ in range(_MAX_ITER):
+            if live.size == 0:
+                break
+            excess, slope = excess_and_slope(x, const)
+            above = excess > 0.0
+            lo_v, hi_v = np.where(above, lo_v, x), np.where(above, x, hi_v)
+            newton = excess * slope
+            tol = 0.5 * (_VOL_XTOL + _VOL_RTOL * x)
+            # Newton unless it leaves the bracket; a step below tolerance is
+            # always taken (x sits on a bracket end once it has converged)
+            take = (np.abs(newton) < tol) | ((x - newton > lo_v) & (x - newton < hi_v))
+            step = np.where(take, newton, x - 0.5 * (lo_v + hi_v))
+            x = x - step
+            done = np.abs(step) < tol
+            if done.any():
+                vols[live[done]] = x[done]
+                keep = ~done
+                live, x, lo_v, hi_v, const = live[keep], x[keep], lo_v[keep], hi_v[keep], const[:, keep]
+        sq = vols * sqrt_t
+        d1 = (log_m + (r + 0.5 * vols * vols) * tau) / sq
+        call = s0 * ndtr(d1) - disc_k * ndtr(d1 - sq)
+        vols[~(np.abs(call - c) <= _PRICE_TOL * np.maximum(1.0, c))] = math.nan
+    return vols.reshape(shape)
 
 
 def _interp_calls(k_grid: np.ndarray, calls: np.ndarray, k_req: np.ndarray) -> np.ndarray:
@@ -271,6 +337,38 @@ def _interp_calls(k_grid: np.ndarray, calls: np.ndarray, k_req: np.ndarray) -> n
     return np.exp(np.interp(k_req, k_grid, np.log(safe)))
 
 
+def _chain(
+    p: NDIGParams,
+    s0: float,
+    r: float,
+    strikes: np.ndarray,
+    maturities: np.ndarray,
+    grid: FFTGridConfig,
+    bound_tol: float = 1e-8,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(calls, puts, flags) on the (maturity, strike) grid.
+
+    One carr_madan_prices call per maturity, log-interpolated to the
+    strikes; puts by parity in put_from_parity's operation order (so each
+    equals its scalar result bit for bit), floored at 0.  flags marks the
+    floored puts and the calls outside max(S - K e^{-r tau}, 0) <= C <= S
+    by more than bound_tol * max(S, 1).
+    """
+    k_req = np.log(strikes)
+    calls = np.empty((len(maturities), len(strikes)))
+    disc_k = np.empty_like(calls)
+    for i, tau in enumerate(maturities):
+        ctx = MarketContext(s0=s0, r=r, maturity=float(tau))
+        grid_strikes, grid_calls = carr_madan_prices(p, ctx, grid)
+        calls[i] = _interp_calls(np.log(grid_strikes), grid_calls, k_req)
+        disc_k[i] = strikes * math.exp(-ctx.r * ctx.maturity)
+    parity = calls - s0 + disc_k
+    floored = parity < 0.0
+    slack = bound_tol * max(s0, 1.0)
+    out_of_bounds = (calls < np.maximum(s0 - disc_k, 0.0) - slack) | (calls > s0 + slack)
+    return calls, np.where(floored, 0.0, parity), floored | out_of_bounds
+
+
 def price_surface(
     p: NDIGParams,
     s0: float,
@@ -283,8 +381,8 @@ def price_surface(
     """Calls via FFT (log-linearly interpolated to the requested strikes),
     puts via parity, implied vols via inversion, with per-cell bound flags.
 
-    Implied vol is NaN on cells whose price leaves the invertible band
-    (those cells are flagged).
+    Implied vol is NaN on cells whose price leaves the invertible band or
+    cannot be inverted within the price tolerance (those cells are flagged).
     """
     strikes = np.asarray(strikes, dtype=float)
     maturities = np.asarray(maturities, dtype=float)
@@ -293,33 +391,8 @@ def price_surface(
     if np.any(maturities <= 0.0):
         raise ValueError("maturities must be positive")
     cfg = grid if grid is not None else FFTGridConfig()
-
-    n_m, n_k = len(maturities), len(strikes)
-    calls = np.empty((n_m, n_k))
-    puts = np.empty((n_m, n_k))
-    vols = np.full((n_m, n_k), math.nan)
-    flags = np.zeros((n_m, n_k), dtype=int)
-    k_req = np.log(strikes)
-
-    for i, tau in enumerate(maturities):
-        ctx = MarketContext(s0=s0, r=r, maturity=float(tau))
-        grid_strikes, grid_calls = carr_madan_prices(p, ctx, cfg)
-        calls[i] = _interp_calls(np.log(grid_strikes), grid_calls, k_req)
-        disc_k = strikes * math.exp(-r * tau)
-        intrinsic = np.maximum(s0 - disc_k, 0.0)
-        scale = max(s0, 1.0)
-        for j in range(n_k):
-            puts[i, j], floored = put_from_parity(float(calls[i, j]), ctx, float(strikes[j]))
-            out_of_bounds = (
-                calls[i, j] < intrinsic[j] - bound_tol * scale
-                or calls[i, j] > s0 + bound_tol * scale
-            )
-            if floored or out_of_bounds:
-                flags[i, j] = 1
-            try:
-                vols[i, j] = implied_vol(ctx, float(strikes[j]), float(calls[i, j]))
-            except ValueError:
-                flags[i, j] = 1
+    calls, puts, flags = _chain(p, s0, r, strikes, maturities, cfg, bound_tol)
+    vols = _implied_vols(s0, r, strikes, maturities[:, None], calls)
     return OptionChain(
         strikes=strikes,
         maturities=maturities,
@@ -327,7 +400,7 @@ def price_surface(
         put_prices=puts,
         implied_vols=vols,
         moneyness=strikes / s0,
-        bound_flags=flags,
+        bound_flags=(flags | np.isnan(vols)).astype(int),
         s0=s0,
         r=r,
     )

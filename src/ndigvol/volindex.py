@@ -23,13 +23,7 @@ import numpy as np
 
 from .estimate import FitConfig, ReturnSeries, RollingFitSeries, rolling_fit
 from .model import NDIGParams, moments
-from .pricing import (
-    FFTGridConfig,
-    MarketContext,
-    carr_madan_prices,
-    put_from_parity,
-    _interp_calls,
-)
+from .pricing import FFTGridConfig, _chain
 
 __all__ = [
     "MINUTES_30D",
@@ -301,18 +295,13 @@ def _bvix_one(
 ) -> float:
     pair = expiry_pair(day)
     strikes = np.linspace(config.strike_lo * spot, config.strike_hi * spot, config.n_strikes)
-    terms = []
-    for expiry_minutes in (pair.m_t1, pair.m_t2):
-        tau = expiry_minutes / (1440.0 * 365.0)
-        ctx = MarketContext(s0=spot, r=rate, maturity=tau)
-        grid_k, grid_c = carr_madan_prices(params, ctx, config.grid)
-        calls = _interp_calls(np.log(grid_k), grid_c, np.log(strikes))
-        puts = np.array([put_from_parity(float(c), ctx, float(k))[0] for c, k in zip(calls, strikes)])
-        forward = spot * math.exp(rate * tau)
-        terms.append(
-            term_inputs_from_chain(strikes, calls, puts, forward, rate, tau)
-        )
-    return bvix(pair, terms[0], terms[1])
+    taus = [pair.m_t1 / (1440.0 * 365.0), pair.m_t2 / (1440.0 * 365.0)]
+    calls, puts, _ = _chain(params, spot, rate, strikes, np.array(taus), config.grid)
+    near, nxt = (
+        term_inputs_from_chain(strikes, calls[i], puts[i], spot * math.exp(rate * tau), rate, tau)
+        for i, tau in enumerate(taus)
+    )
+    return bvix(pair, near, nxt)
 
 
 def bvix_from_rolling(

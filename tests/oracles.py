@@ -3,7 +3,8 @@
 Everything here is written from the defining formulas, not by calling the
 package under test: arbitrary-precision cgf/chf and cumulants (mpmath),
 fourth-order finite-difference cumulants, a slow adaptive-quadrature call
-pricer, and a closed-form Black-Scholes chain builder.
+pricer, a closed-form Black-Scholes chain builder and a bracketing
+implied-vol inversion.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 mp.mp.dps = 40
@@ -145,3 +147,22 @@ def flat_bsm_chain(s, r, tau, vol, strikes):
     calls = np.array([bs_call(s, k, r, tau, vol) for k in strikes])
     puts = np.array([bs_put(s, k, r, tau, vol) for k in strikes])
     return calls, puts
+
+
+def brentq_implied_vol(s, k, r, tau, price, lo=1e-8, hi=20.0):
+    """Black-Scholes implied vol by Brent's method on bs_call, or None.
+
+    None when the price leaves the band (max(s - k e^{-r tau}, 0), s), when
+    [lo, hi] does not bracket the root, or when the root misses the price
+    by more than 1e-10 * max(1, price).
+    """
+    intrinsic = max(s - k * math.exp(-r * tau), 0.0)
+    if not intrinsic < price < s:
+        return None
+    f = lambda vol: bs_call(s, k, r, tau, vol) - price
+    if f(lo) > 0.0 or f(hi) < 0.0:
+        return None
+    vol = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    if abs(f(vol)) > 1e-10 * max(1.0, price):
+        return None
+    return vol

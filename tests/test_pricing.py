@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
+import ndigvol
 from ndigvol import (
     FFTGridConfig,
     MarketContext,
@@ -17,9 +23,9 @@ from ndigvol import (
     put_from_parity,
     risk_neutral_chf,
 )
-from ndigvol.pricing import integrand_tail_ratio
+from ndigvol.pricing import _implied_vols, integrand_tail_ratio
 
-from oracles import bs_call, quad_call_price
+from oracles import bs_call, brentq_implied_vol, quad_call_price
 
 # frozen from the arbitrary-precision oracle
 RN_CHF_AT_1 = -0.14367772549690899 - 0.94478532955090763j  # v=1, tau=30/365, s0=100, r=0.02
@@ -78,21 +84,6 @@ class TestCarrMadan:
             fft_val = float(np.exp(np.interp(k, logk, np.log(calls.clip(1e-300)))))
             oracle = quad_call_price(btc_params, ctx.s0, ctx.r, ctx.maturity, m * ctx.s0, grid.damping)
             assert fft_val == pytest.approx(oracle, rel=1e-4)
-
-    def test_rectangle_rule_is_biased(self, btc_params):
-        # default config half-weights the v=0 node; the plain left-rectangle
-        # variant keeps the full weight and inherits a large constant bias,
-        # which is why it is not the default
-        ctx = atm_ctx()
-        trap = FFTGridConfig.dense()
-        rect = FFTGridConfig(n=trap.n, damping=trap.damping, dv=trap.dv, rule="rectangle")
-        strikes_t, calls_t = carr_madan_prices(btc_params, ctx, trap)
-        strikes_r, calls_r = carr_madan_prices(btc_params, ctx, rect)
-        idx = int(np.argmin(np.abs(strikes_t - ctx.s0)))
-        oracle = quad_call_price(btc_params, ctx.s0, ctx.r, ctx.maturity, float(strikes_t[idx]), trap.damping)
-        err_trap = abs(calls_t[idx] - oracle)
-        err_rect = abs(calls_r[idx] - oracle)
-        assert err_rect > 100 * err_trap
 
     def test_damping_sweep_stays_accurate(self, btc_params):
         # empirical stability map: the usable damping range extends all the
@@ -159,6 +150,22 @@ class TestParityAndBsm:
         )
         assert bsm_price(ctx, 120.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
 
+    def test_bsm_matches_norm_cdf_form_exactly(self):
+        # bsm_price runs on scipy.special.ndtr, which norm.cdf of a float
+        # calls, so the two forms agree bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            ctx = MarketContext(
+                s0=float(rng.uniform(0.5, 5000.0)), r=float(rng.uniform(-0.02, 0.1)),
+                maturity=float(np.exp(rng.uniform(math.log(1 / 365), math.log(5.0)))),
+            )
+            strike = ctx.s0 * float(np.exp(rng.uniform(-1.5, 1.5)))
+            vol = float(np.exp(rng.uniform(math.log(0.01), math.log(5.0))))
+            sq = vol * math.sqrt(ctx.maturity)
+            d1 = (math.log(ctx.s0 / strike) + (ctx.r + 0.5 * vol * vol) * ctx.maturity) / sq
+            ref = ctx.s0 * norm.cdf(d1) - strike * math.exp(-ctx.r * ctx.maturity) * norm.cdf(d1 - sq)
+            assert bsm_price(ctx, strike, vol) == ref
+
     def test_bsm_monotone_in_vol(self):
         ctx = atm_ctx()
         vols = np.linspace(0.05, 2.0, 25)
@@ -193,6 +200,77 @@ class TestImpliedVol:
         )
         assert 0.5 < vol < 2.0
         assert vol == pytest.approx(1.0263026733351837, rel=1e-6)
+
+
+ORACLE_S0 = 100.0
+ORACLE_STRIKES = ORACLE_S0 * np.geomspace(0.3, 3.0, 11)
+ORACLE_MATURITIES = np.array([1 / 365, 7 / 365, 30 / 365, 0.25, 1.0, 2.0])
+ORACLE_VOLS = np.geomspace(0.01, 5.0, 10)
+
+
+class TestImpliedVolSolver:
+    @pytest.mark.parametrize("r", [0.0, 0.05])
+    def test_matches_brentq_oracle(self, r):
+        k, tau, vol = (a.ravel() for a in np.meshgrid(
+            ORACLE_STRIKES, ORACLE_MATURITIES, ORACLE_VOLS, indexing="ij"))
+        price = np.array([bs_call(ORACLE_S0, kk, r, tt, vv) for kk, tt, vv in zip(k, tau, vol)])
+        ref = np.array([
+            math.nan if (v := brentq_implied_vol(ORACLE_S0, kk, r, tt, c)) is None else v
+            for kk, tt, c in zip(k, tau, price)
+        ])
+        array = _implied_vols(ORACLE_S0, r, k, tau, price)
+        scalar = np.empty_like(array)
+        for i, (kk, tt, c) in enumerate(zip(k, tau, price)):
+            try:
+                scalar[i] = implied_vol(MarketContext(ORACLE_S0, r, float(tt)), float(kk), float(c))
+            except ValueError:
+                scalar[i] = math.nan
+        # the same cells invert, and every returned vol reprices the call
+        np.testing.assert_array_equal(np.isnan(array), np.isnan(ref))
+        np.testing.assert_array_equal(np.isnan(scalar), np.isnan(ref))
+        for i in np.flatnonzero(~np.isnan(array)):
+            ctx = MarketContext(ORACLE_S0, r, float(tau[i]))
+            assert abs(bsm_price(ctx, k[i], array[i]) - price[i]) <= 1e-10 * max(1.0, price[i])
+        # where one ulp of s0 in the price moves the vol by less than 1e-13
+        # relative, the vol is pinned by the price and both solvers must agree
+        sq = ref * np.sqrt(tau)
+        d1 = (np.log(ORACLE_S0 / k) + (r + 0.5 * ref * ref) * tau) / sq
+        vega = ORACLE_S0 * np.sqrt(tau) * np.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        pinned = np.nan_to_num(vega * ref) * 1e-13 > np.finfo(float).eps * ORACLE_S0
+        assert pinned.sum() > 200
+        np.testing.assert_allclose(array[pinned], ref[pinned], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(scalar[pinned], ref[pinned], rtol=1e-12, atol=0.0)
+
+    def test_out_of_band_prices_get_nan(self):
+        ctx = atm_ctx()
+        intrinsic = ctx.s0 - 80.0 * math.exp(-ctx.r * ctx.maturity)
+        prices = np.array([intrinsic - 1.0, intrinsic, ctx.s0, ctx.s0 + 1.0, 25.0])
+        vols = _implied_vols(ctx.s0, ctx.r, 80.0, ctx.maturity, prices)
+        assert np.isnan(vols[:4]).all()
+        assert vols[4] == pytest.approx(implied_vol(ctx, 80.0, 25.0), rel=1e-14)
+
+    def test_unreachable_price_tolerance_gives_no_vol(self):
+        # at s0 = 1e8 an at-the-money call worth about 10 is the difference
+        # of two terms near 5e7, so bsm_price only takes values on a lattice
+        # of spacing 2**-27 (7.5e-9); halfway between two lattice points is
+        # farther than the 1e-9 price tolerance from any value it can take
+        ctx = MarketContext(s0=1e8, r=0.0, maturity=1 / 365)
+        price = float(bsm_price(ctx, 1e8, 5e-6)) + 2.0**-28
+        assert 1.0 < price < 100.0
+        assert brentq_implied_vol(ctx.s0, 1e8, ctx.r, ctx.maturity, price) is None
+        assert np.isnan(_implied_vols(ctx.s0, ctx.r, 1e8, ctx.maturity, price))
+        with pytest.raises(ValueError, match="price tolerance"):
+            implied_vol(ctx, 1e8, price)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import, and pricing needs only scipy.special
+    src = str(Path(ndigvol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, ndigvol; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPriceSurface:
@@ -230,6 +308,38 @@ class TestPriceSurface:
             assert np.max(np.abs(resid)) < 1e-10
             assert np.all(chain.call_prices[i] <= 100.0 + 1e-10)
             assert np.all(chain.call_prices[i] >= np.maximum(100.0 - strikes * disc, 0.0) - 1e-10)
+
+    def test_floored_cells_match_scalar_parity_and_inversion(self, btc_params):
+        # on the default grid the alias error puts the 1-day deep
+        # in-the-money calls below intrinsic: their puts floor at 0 and no
+        # implied vol exists, so those cells are flagged with a NaN vol
+        s0, r = 100.0, 0.02
+        strikes = np.linspace(20.0, 400.0, 40)
+        maturities = [1 / 365, 7 / 365]
+        chain = price_surface(btc_params, s0, r, strikes, maturities)
+        n_floored = 0
+        for i, tau in enumerate(maturities):
+            ctx = MarketContext(s0=s0, r=r, maturity=tau)
+            disc = math.exp(-r * tau)
+            for j, k in enumerate(strikes):
+                call = float(chain.call_prices[i, j])
+                put, floored = put_from_parity(call, ctx, float(k))
+                out_of_bounds = (call < max(s0 - k * disc, 0.0) - 1e-8 * s0
+                                 or call > s0 + 1e-8 * s0)
+                try:
+                    vol = implied_vol(ctx, float(k), call)
+                except ValueError as exc:
+                    if floored:
+                        assert "band" in str(exc)
+                    vol = math.nan
+                n_floored += floored
+                assert chain.put_prices[i, j] == put
+                assert chain.bound_flags[i, j] == int(floored or out_of_bounds or math.isnan(vol))
+                if math.isnan(vol):
+                    assert math.isnan(chain.implied_vols[i, j])
+                else:
+                    assert chain.implied_vols[i, j] == pytest.approx(vol, rel=1e-12)
+        assert n_floored > 0
 
     def test_bsm_degenerate_limit(self):
         # rho = gamma = 0 and huge subordinator shapes collapse the clock to

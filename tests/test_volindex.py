@@ -309,6 +309,53 @@ class TestBvixEndToEnd:
         assert value == pytest.approx(target, rel=0.05)
 
 
+def _bvix_per_cell(params, spot, day, rate, config):
+    """BVIX with the chain built cell by cell through put_from_parity."""
+    from ndigvol import MarketContext, carr_madan_prices, put_from_parity
+    from ndigvol.pricing import _interp_calls
+
+    pair = expiry_pair(day)
+    strikes = np.linspace(config.strike_lo * spot, config.strike_hi * spot, config.n_strikes)
+    terms = []
+    for expiry_minutes in (pair.m_t1, pair.m_t2):
+        tau = expiry_minutes / (1440.0 * 365.0)
+        ctx = MarketContext(s0=spot, r=rate, maturity=tau)
+        grid_k, grid_c = carr_madan_prices(params, ctx, config.grid)
+        calls = _interp_calls(np.log(grid_k), grid_c, np.log(strikes))
+        puts = np.array([put_from_parity(float(c), ctx, float(k))[0] for c, k in zip(calls, strikes)])
+        forward = spot * math.exp(rate * tau)
+        terms.append(term_inputs_from_chain(strikes, calls, puts, forward, rate, tau))
+    return bvix(pair, terms[0], terms[1])
+
+
+class TestSharedChainBuilder:
+    # the BTC reference, then sets spanning the sigma3 range and the
+    # lambda/rho/mu3 wander of a rolling fit series
+    PARAMS = (
+        dict(mu3=0.004, sigma3=0.0551, rho=-0.0008, lambda_t=9.9293, lambda_u=0.145),
+        dict(mu3=0.003, sigma3=0.0205, rho=-0.0011, lambda_t=12.1, lambda_u=0.12),
+        dict(mu3=0.005, sigma3=0.072, rho=-0.0005, lambda_t=8.3, lambda_u=0.17),
+        dict(mu3=0.0042, sigma3=0.038, rho=-0.0009, lambda_t=10.8, lambda_u=0.131),
+    )
+
+    def test_bvix_matches_per_cell_parity_bit_for_bit(self):
+        config = BvixConfig()
+        for q in self.PARAMS:
+            p = NDIGParams(**q)
+            for day, spot, rate in (
+                (date(2021, 7, 14), 100.0, 0.02),
+                (date(2020, 3, 13), 5432.1, 0.0),
+                (date(2019, 11, 3), 0.37, 0.05),
+            ):
+                got = _bvix_one(p, spot, day, rate, config)
+                assert got == _bvix_per_cell(p, spot, day, rate, config)
+
+    def test_volindex_does_not_interpolate_on_its_own(self):
+        import ndigvol.volindex as volindex
+
+        assert not hasattr(volindex, "_interp_calls")
+
+
 class TestBvixSeries:
     def test_stationary_series_is_level(self, btc_params):
         from ndigvol import FitConfig, simulate_paths
