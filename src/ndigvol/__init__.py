@@ -57,7 +57,6 @@ from .volindex import (
     VolatilitySeries,
     bvix,
     bvix_from_rolling,
-    bvix_series,
     expiry_pair,
     ndig_it_series,
     ndig_it_vol,
@@ -82,6 +81,6 @@ __all__ = [
     "price_surface",
     "ExpiryPair", "TermVarianceInputs", "VolatilitySeries", "BvixConfig",
     "expiry_pair", "term_weights", "term_variance", "term_inputs_from_chain",
-    "bvix", "rolling_std_vol", "bvix_series", "bvix_from_rolling",
+    "bvix", "rolling_std_vol", "bvix_from_rolling",
     "ndig_it_vol", "ndig_it_series", "normalize",
 ]

@@ -5,7 +5,7 @@ pipeline.  Configuration comes from a flat key=value file (--config) with
 command-line overrides winning; every output embeds a provenance line so
 reruns are byte-verifiable.  Failures print a machine-readable JSON report
 to stderr and exit nonzero; infeasible configurations (for example a
-damping at or above the model bound) are rejected before any computation.
+damping at or above the model bound) are rejected before any FFT runs.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .io import (
     write_rolling_fit_csv,
     write_volatility_csv,
 )
-from .model import NDIGParams, max_damping
+from .model import NDIGParams
 from .pricing import FFTGridConfig, price_surface
 from .simulate import simulate_paths
 from .volindex import (
@@ -122,15 +122,6 @@ def _require_input(args: argparse.Namespace) -> PriceSeries:
     return load_prices(args.input)
 
 
-def _check_pricing_feasible(params: NDIGParams, config: RunConfig) -> None:
-    bound = max_damping(params)
-    if not 0.0 < config.damping < bound:
-        raise ValueError(
-            f"damping {config.damping} infeasible: must lie in (0, {bound:.6g}) "
-            "for these parameters"
-        )
-
-
 def _rates(config: RunConfig):
     return load_rates(config.rate_file) if config.rate_file else config.rate
 
@@ -182,7 +173,6 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
 
     elif command in ("price", "surface"):
         params = _params(config)
-        _check_pricing_feasible(params, config)
         maturities = (
             [config.maturity] if command == "price" else list(DEFAULT_SURFACE_MATURITIES)
         )

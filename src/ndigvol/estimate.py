@@ -54,6 +54,8 @@ FATOL = 1e-12
 WARM_MAX_EVALS = 2000
 # ecf node pairs whose grid weight is below this share of the largest are dropped
 NODE_WEIGHT_FLOOR = 1e-16
+# fewest returns fit accepts
+MIN_LENGTH = 100
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,6 @@ class FitConfig:
     max_evals: int = 5000
     seed: int = 0
     quadrature: CfQuadrature = field(default_factory=CfQuadrature)
-    min_length: int = 100
 
 
 @dataclass(frozen=True)
@@ -321,8 +322,8 @@ def fit(
     budget on the winning restart rather than a hard failure.
     """
     cfg = config or FitConfig()
-    if len(series) < cfg.min_length:
-        raise ValueError(f"series length {len(series)} below floor {cfg.min_length}")
+    if len(series) < MIN_LENGTH:
+        raise ValueError(f"series length {len(series)} below floor {MIN_LENGTH}")
     prep = _PreparedObjective(series, cfg.quadrature)
     base = initial if initial is not None else _moment_matched_start(prep.emp)
     rng = np.random.default_rng(cfg.seed)

@@ -1,9 +1,11 @@
 """CSV ingestion, run configuration, and deterministic output writers.
 
 All outputs are plain CSV with a single provenance comment line on top
-(`# ndigvol=<version> config=<hash> seed=<seed>`), fixed column schemas and
-fixed float formatting, so identical inputs and seed reproduce identical
-bytes.  Files are written atomically (temp-then-rename).
+(`# ndigvol=<version> config=<hash> seed=<seed>`) and fixed column schemas.
+Each writer hands whole columns to the csv module, which writes Python
+floats as their shortest round-trip repr (`nan` for a missing value) and
+flags as 0/1 ints, so identical inputs and seed reproduce identical bytes.
+Files are written atomically (temp-then-rename).
 """
 
 from __future__ import annotations
@@ -17,15 +19,14 @@ import tempfile
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .estimate import ReturnSeries, RollingFitSeries
-from .pricing import OptionChain
+from .estimate import CfQuadrature, FitConfig, ReturnSeries, RollingFitSeries
+from .pricing import FFTGridConfig, OptionChain
 from .simulate import PathSet
-from .volindex import VolatilitySeries
+from .volindex import BvixConfig, VolatilitySeries
 
 __all__ = [
     "PriceSeries",
@@ -40,10 +41,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# shortest round-trip float text: exact on re-parse, stable across runs
-_FLOAT_FMT = repr
-
 
 @dataclass(frozen=True)
 class PriceSeries:
@@ -71,26 +68,27 @@ class RunConfig:
     """Batch-run configuration; every field has a CLI/config-file override.
 
     Model parameter fields (mu3..lambda_u) are only consulted by commands
-    that price or simulate from explicit parameters.
+    that price or simulate from explicit parameters.  Fields that configure
+    a library class take that class's default.
     """
 
     window: int = 1008
     step: int = 1
     annualization: float = 252.0
-    damping: float = 0.40
-    fft_n: int = 1024
-    fft_dv: float = 0.25
-    strike_lo: float = 0.65
-    strike_hi: float = 1.70
-    n_strikes: int = 40
-    cf_v_max: float = 20.0
-    cf_nodes: int = 101
+    damping: float = FFTGridConfig.damping
+    fft_n: int = FFTGridConfig.n
+    fft_dv: float = FFTGridConfig.dv
+    strike_lo: float = BvixConfig.strike_lo
+    strike_hi: float = BvixConfig.strike_hi
+    n_strikes: int = BvixConfig.n_strikes
+    cf_v_max: float = CfQuadrature.v_max
+    cf_nodes: int = CfQuadrature.n_nodes
     seed: int = 0
     rate: float = 0.02
     rate_file: str | None = None
     n_paths: int = 1000
-    n_restarts: int = 5
-    max_evals: int = 5000
+    n_restarts: int = FitConfig.n_restarts
+    max_evals: int = FitConfig.max_evals
     warm_start: bool = True
     mu3: float = 0.0
     sigma3: float = 0.05
@@ -224,28 +222,22 @@ def returns_from_prices(prices: PriceSeries) -> ReturnSeries:
     )
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if math.isnan(x):
-        return "nan"
-    return _FLOAT_FMT(float(x))
+def _floats(values) -> list[float]:
+    """Python floats, so the csv module writes each as its shortest round-trip repr."""
+    return np.asarray(values, dtype=float).ravel().tolist()
 
 
-def _atomic_write(path: str | Path, provenance: str, header: Sequence[str],
-                  rows: Iterable[Sequence[object]]) -> None:
+def _atomic_write(path: str | Path, config: RunConfig, columns: dict[str, list]) -> None:
+    """Provenance line, header, then one row per index of the equal-length columns."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(provenance + "\n")
+            fh.write(config.provenance_line() + "\n")
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow(
-                    [_fmt(x) if isinstance(x, (float, np.floating, bool, np.bool_)) else str(x) for x in row]
-                )
+            writer.writerow(columns)
+            writer.writerows(zip(*columns.values(), strict=True))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -254,43 +246,44 @@ def _atomic_write(path: str | Path, provenance: str, header: Sequence[str],
 
 
 def write_rolling_fit_csv(path: str | Path, rolling: RollingFitSeries, config: RunConfig) -> None:
-    header = ["window_end", "mu3", "sigma3", "rho", "lambda_T", "lambda_U", "objective", "converged"]
-    rows = []
-    for end, res in zip(rolling.window_end_dates, rolling.results):
-        p = res.params
-        rows.append([
-            end.isoformat(), p.mu3, p.sigma3, p.rho, p.lambda_t, p.lambda_u,
-            res.objective_value, int(res.converged),
-        ])
-    _atomic_write(path, config.provenance_line(), header, rows)
+    params = [r.params for r in rolling.results]
+    _atomic_write(path, config, {
+        "window_end": [d.isoformat() for d in rolling.window_end_dates],
+        "mu3": _floats([p.mu3 for p in params]),
+        "sigma3": _floats([p.sigma3 for p in params]),
+        "rho": _floats([p.rho for p in params]),
+        "lambda_T": _floats([p.lambda_t for p in params]),
+        "lambda_U": _floats([p.lambda_u for p in params]),
+        "objective": _floats([r.objective_value for r in rolling.results]),
+        "converged": [int(r.converged) for r in rolling.results],
+    })
 
 
 def write_option_chain_csv(path: str | Path, chain: OptionChain, config: RunConfig) -> None:
-    header = ["maturity_years", "strike", "call", "put", "implied_vol", "moneyness", "bound_flag"]
-    rows = []
-    for i, tau in enumerate(chain.maturities):
-        for j, k in enumerate(chain.strikes):
-            rows.append([
-                float(tau), float(k), float(chain.call_prices[i, j]),
-                float(chain.put_prices[i, j]), float(chain.implied_vols[i, j]),
-                float(chain.moneyness[j]), int(chain.bound_flags[i, j]),
-            ])
-    _atomic_write(path, config.provenance_line(), header, rows)
+    n_mat, n_strikes = len(chain.maturities), len(chain.strikes)
+    _atomic_write(path, config, {
+        "maturity_years": _floats(np.repeat(chain.maturities, n_strikes)),
+        "strike": _floats(np.tile(chain.strikes, n_mat)),
+        "call": _floats(chain.call_prices),
+        "put": _floats(chain.put_prices),
+        "implied_vol": _floats(chain.implied_vols),
+        "moneyness": _floats(np.tile(chain.moneyness, n_mat)),
+        "bound_flag": np.asarray(chain.bound_flags, dtype=int).ravel().tolist(),
+    })
 
 
 def write_volatility_csv(path: str | Path, series: VolatilitySeries, config: RunConfig) -> None:
-    header = ["date", "kind", "value_percent"]
-    rows = [
-        [d.isoformat(), series.kind, float(v)]
-        for d, v in zip(series.dates, series.values)
-    ]
-    _atomic_write(path, config.provenance_line(), header, rows)
+    _atomic_write(path, config, {
+        "date": [d.isoformat() for d in series.dates],
+        "kind": [series.kind] * len(series.dates),
+        "value_percent": _floats(series.values),
+    })
 
 
 def write_paths_csv(path: str | Path, paths: PathSet, config: RunConfig) -> None:
-    header = ["path_id", "time", "x"]
-    rows = []
-    for pid in range(paths.n_paths):
-        for t, x in zip(paths.times, paths.paths[pid]):
-            rows.append([pid, float(t), float(x)])
-    _atomic_write(path, config.provenance_line(), header, rows)
+    n_times = len(paths.times)
+    _atomic_write(path, config, {
+        "path_id": np.repeat(np.arange(paths.n_paths), n_times).tolist(),
+        "time": _floats(np.tile(paths.times, paths.n_paths)),
+        "x": _floats(paths.paths),
+    })

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .model import NDIGParams, cgf, chf_exponent, feasible_interval, max_damping
+from .model import NDIGParams, cgf, chf_exponent, max_damping
 
 __all__ = [
     "DAYS_PER_YEAR",
@@ -62,6 +62,12 @@ _VOL_XTOL = 1e-14
 _VOL_RTOL = 8.9e-16
 _PRICE_TOL = 1e-10
 _MAX_ITER = 200
+# implied-vol search bracket
+_VOL_LO = 1e-8
+_VOL_HI = 20.0
+# a call outside max(S - K e^{-r tau}, 0) <= C <= S by more than this times
+# max(S, 1) is flagged
+_BOUND_TOL = 1e-8
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -151,8 +157,7 @@ def risk_neutral_chf(v, p: NDIGParams, ctx: MarketContext):
     phi(v) = s0^{iv} exp{[iv(r_d - K(1)) + psi(v)] t} with t in days.
     Raises when cgf(1) is infeasible (no mean correction exists).
     """
-    if feasible_interval(p).w_hi <= 1.0:
-        raise ValueError("mean correction cgf(1) infeasible for these parameters")
+    max_damping(p)  # raises when the mean correction cgf(1) does not exist
     return np.exp(_rn_log_chf(v, p, ctx, cgf(1.0, p)))
 
 
@@ -235,17 +240,11 @@ def bsm_price(ctx: MarketContext, strike: float, vol: float) -> float:
     return ctx.s0 * ndtr(d1) - strike * math.exp(-ctx.r * ctx.maturity) * ndtr(d2)
 
 
-def implied_vol(
-    ctx: MarketContext,
-    strike: float,
-    observed_price: float,
-    lo: float = 1e-8,
-    hi: float = 20.0,
-) -> float:
+def implied_vol(ctx: MarketContext, strike: float, observed_price: float) -> float:
     """Invert bsm_price for the annualized volatility, price tolerance 1e-10.
 
     Raises when the observed price sits outside the no-arbitrage band
-    (max(S - K e^{-r tau}, 0), S), or when no vol in [lo, hi] reprices it
+    (max(S - K e^{-r tau}, 0), S), or when no vol in [1e-8, 20] reprices it
     within 1e-10 * max(1, price).
     """
     intrinsic = max(ctx.s0 - strike * math.exp(-ctx.r * ctx.maturity), 0.0)
@@ -254,17 +253,17 @@ def implied_vol(
             f"price {observed_price} outside no-arbitrage band "
             f"({intrinsic:.6g}, {ctx.s0:.6g}); no implied volatility exists"
         )
-    vol = float(_implied_vols(ctx.s0, ctx.r, strike, ctx.maturity, observed_price, lo, hi))
+    vol = float(_implied_vols(ctx.s0, ctx.r, strike, ctx.maturity, observed_price))
     if math.isnan(vol):
         raise ValueError("implied volatility did not reach the price tolerance")
     return vol
 
 
-def _implied_vols(s0, r, strikes, maturities, prices, lo=1e-8, hi=20.0) -> np.ndarray:
+def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
     """Black-Scholes implied vols of call prices, elementwise over broadcast arrays.
 
     NaN where the price leaves the no-arbitrage band, where the root lies
-    outside [lo, hi], or where the vol found misses the price tolerance.
+    outside [1e-8, 20], or where the vol found misses the price tolerance.
     Iterates on the log price of the out-of-the-money option (the put
     where the call is in the money, by parity), which is close to linear in
     vol far into the wings where the call price itself is not; every cell
@@ -292,11 +291,11 @@ def _implied_vols(s0, r, strikes, maturities, prices, lo=1e-8, hi=20.0) -> np.nd
             return np.log(otm) - target, otm / vega
 
         # a NaN excess is a negative OTM price from rounding: below the target
-        ends = excess_and_slope(np.array([[lo], [hi]]), const[:, None, :])[0]
+        ends = excess_and_slope(np.array([[_VOL_LO], [_VOL_HI]]), const[:, None, :])[0]
         live = np.flatnonzero((c > intrinsic) & (c < s0) & ~(ends[0] > 0.0) & (ends[1] >= 0.0))
         const = const[:, live]
-        x = np.full(live.size, min(max(1.0, lo), hi))
-        lo_v, hi_v = np.full(live.size, lo), np.full(live.size, hi)
+        x = np.ones(live.size)
+        lo_v, hi_v = np.full(live.size, _VOL_LO), np.full(live.size, _VOL_HI)
         for _ in range(_MAX_ITER):
             if live.size == 0:
                 break
@@ -344,7 +343,6 @@ def _chain(
     strikes: np.ndarray,
     maturities: np.ndarray,
     grid: FFTGridConfig,
-    bound_tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(calls, puts, flags) on the (maturity, strike) grid.
 
@@ -352,7 +350,7 @@ def _chain(
     strikes; puts by parity in put_from_parity's operation order (so each
     equals its scalar result bit for bit), floored at 0.  flags marks the
     floored puts and the calls outside max(S - K e^{-r tau}, 0) <= C <= S
-    by more than bound_tol * max(S, 1).
+    by more than _BOUND_TOL * max(S, 1).
     """
     k_req = np.log(strikes)
     calls = np.empty((len(maturities), len(strikes)))
@@ -364,7 +362,7 @@ def _chain(
         disc_k[i] = strikes * math.exp(-ctx.r * ctx.maturity)
     parity = calls - s0 + disc_k
     floored = parity < 0.0
-    slack = bound_tol * max(s0, 1.0)
+    slack = _BOUND_TOL * max(s0, 1.0)
     out_of_bounds = (calls < np.maximum(s0 - disc_k, 0.0) - slack) | (calls > s0 + slack)
     return calls, np.where(floored, 0.0, parity), floored | out_of_bounds
 
@@ -376,7 +374,6 @@ def price_surface(
     strikes: Sequence[float],
     maturities: Sequence[float],
     grid: FFTGridConfig | None = None,
-    bound_tol: float = 1e-8,
 ) -> OptionChain:
     """Calls via FFT (log-linearly interpolated to the requested strikes),
     puts via parity, implied vols via inversion, with per-cell bound flags.
@@ -391,7 +388,7 @@ def price_surface(
     if np.any(maturities <= 0.0):
         raise ValueError("maturities must be positive")
     cfg = grid if grid is not None else FFTGridConfig()
-    calls, puts, flags = _chain(p, s0, r, strikes, maturities, cfg, bound_tol)
+    calls, puts, flags = _chain(p, s0, r, strikes, maturities, cfg)
     vols = _implied_vols(s0, r, strikes, maturities[:, None], calls)
     return OptionChain(
         strikes=strikes,

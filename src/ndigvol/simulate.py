@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NDIGParams, cgf, feasible_interval
+from .model import NDIGParams, cgf, max_damping
+from .pricing import DAYS_PER_YEAR
 
 __all__ = [
     "BLOCK",
@@ -37,7 +38,6 @@ __all__ = [
 ]
 
 BLOCK = 4096
-DAYS_PER_YEAR = 365.0
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,7 @@ def mc_option_price(
     and r_d the per-day rate; a single exact step to maturity (Levy
     increments carry no discretization bias).  Returns (price, stderr).
     """
-    if feasible_interval(p).w_hi <= 1.0:
-        raise ValueError("mean correction cgf(1) infeasible for these parameters")
+    max_damping(p)  # raises when the mean correction cgf(1) does not exist
     t_days = DAYS_PER_YEAR * maturity
     r_day = r / DAYS_PER_YEAR
     k1 = cgf(1.0, p)

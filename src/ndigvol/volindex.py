@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .estimate import FitConfig, ReturnSeries, RollingFitSeries, rolling_fit
+from .estimate import ReturnSeries, RollingFitSeries
 from .model import NDIGParams, moments
 from .pricing import FFTGridConfig, _chain
 
@@ -37,7 +37,6 @@ __all__ = [
     "term_inputs_from_chain",
     "bvix",
     "rolling_std_vol",
-    "bvix_series",
     "bvix_from_rolling",
     "ndig_it_vol",
     "ndig_it_series",
@@ -234,26 +233,16 @@ def ndig_it_vol(p: NDIGParams, annualization: float = 252.0) -> float:
     return 100.0 * math.sqrt(moments(p).variance * annualization)
 
 
-def normalize(series: VolatilitySeries, method: str = "zscore") -> VolatilitySeries:
-    """Rescale a series for cross-measure comparison.
-
-    "zscore" subtracts the mean and divides by the sample standard
-    deviation; "min_shift" subtracts the minimum instead (an alternative
-    seen in index-comparison work) while keeping the same scale.
-    """
+def normalize(series: VolatilitySeries) -> VolatilitySeries:
+    """Z-score a series for cross-measure comparison: subtract the mean and
+    divide by the sample standard deviation."""
     v = series.values
     if len(v) < 2:
         raise ValueError("need at least 2 values to normalize")
     sd = float(v.std(ddof=1))
     if sd == 0.0:
         raise ValueError("zero-variance series cannot be normalized")
-    if method == "zscore":
-        out = (v - v.mean()) / sd
-    elif method == "min_shift":
-        out = (v - v.min()) / sd
-    else:
-        raise ValueError(f"unknown normalization method {method!r}")
-    return VolatilitySeries(dates=series.dates, values=out, kind=series.kind)
+    return VolatilitySeries(dates=series.dates, values=(v - v.mean()) / sd, kind=series.kind)
 
 
 def _rate_for(rates: Mapping[date, float] | float, day: date) -> float:
@@ -334,28 +323,6 @@ def bvix_from_rolling(
         dates_out.append(end_date)
         values.append(value)
     return VolatilitySeries(dates=tuple(dates_out), values=np.array(values), kind="BVIX"), gaps
-
-
-def bvix_series(
-    prices: np.ndarray,
-    price_dates: tuple[date, ...],
-    window: int = 1008,
-    rates: Mapping[date, float] | float = 0.02,
-    config: BvixConfig | None = None,
-    fit_config: FitConfig | None = None,
-) -> tuple[VolatilitySeries, list[tuple[date, str]]]:
-    """Full BVIX pipeline: rolling fit, then per-window option chains and index.
-
-    Per window: fit the model to the window's returns, price calls on the
-    strike band around the window-end spot at the near/next expiries, puts
-    by parity, then blend the two term variances at the 30-day point.
-    """
-    prices = np.asarray(prices, dtype=float)
-    returns = ReturnSeries(
-        dates=tuple(price_dates[1:]), returns=np.diff(np.log(prices))
-    )
-    rolling = rolling_fit(returns, window=window, config=fit_config)
-    return bvix_from_rolling(prices, price_dates, rolling, rates, config)
 
 
 def ndig_it_series(

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ndigvol import NDIGParams, simulate_paths
+from ndigvol import (
+    FitResult,
+    NDIGParams,
+    OptionChain,
+    PathSet,
+    RollingFitSeries,
+    VolatilitySeries,
+    simulate_paths,
+)
 from ndigvol.cli import main
 from ndigvol.io import (
     RunConfig,
@@ -17,6 +25,10 @@ from ndigvol.io import (
     load_prices,
     load_rates,
     returns_from_prices,
+    write_option_chain_csv,
+    write_paths_csv,
+    write_rolling_fit_csv,
+    write_volatility_csv,
 )
 
 
@@ -110,6 +122,102 @@ class TestConfig:
         c = RunConfig(seed=1)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_default_hash_pinned(self):
+        # the defaults' provenance hash; a change here changes every output's first line
+        assert RunConfig().config_hash() == "87aaf654bf5c"
+
+
+# floats whose text is easy to get wrong: exponent forms, signed zero, the
+# smallest subnormal, a missing value
+EDGE = [1e-05, 1e16, -0.0, 5e-324, 0.1, math.nan]
+
+
+def expected_csv(config: RunConfig, header: str, rows) -> str:
+    body = "".join(",".join(row) + "\n" for row in rows)
+    return f"{config.provenance_line()}\n{header}\n{body}"
+
+
+class TestWriters:
+    """Exact bytes of each writer on small hand-built payloads of np.float64 values."""
+
+    config = RunConfig(seed=4)
+
+    def test_rolling_fit(self, tmp_path):
+        days = (date(2021, 3, 1), date(2021, 3, 2))
+        vals = [
+            (-0.0, 1e-05, 5e-324, 1e16, 0.1, 1e-05, True),
+            (0.001, 0.05, -0.002, 10.0, 0.2, 3.5, False),  # not converged
+        ]
+        results = tuple(
+            FitResult(
+                params=NDIGParams(*map(np.float64, v[:5])), objective_value=np.float64(v[5]),
+                term_breakdown=(0.0,) * 5, converged=v[6], evaluations=7,
+            )
+            for v in vals
+        )
+        write_rolling_fit_csv(
+            tmp_path / "f.csv", RollingFitSeries(days, results, 150), self.config
+        )
+        assert (tmp_path / "f.csv").read_text() == expected_csv(
+            self.config, "window_end,mu3,sigma3,rho,lambda_T,lambda_U,objective,converged",
+            [[d.isoformat(), *(f"{x!r}" for x in v[:6]), str(int(v[6]))] for d, v in zip(days, vals)],
+        )
+
+    def test_option_chain(self, tmp_path):
+        strikes, taus = [80.0, 1e16, 5e-324], [1e-05, 0.5]
+        calls = np.array([[20.0, 0.0, 100.0], [21.5, 1e-05, 100.0]])
+        puts = np.array([[-0.0, 1e16, 0.0], [0.1, 5e-324, 0.0]])
+        vols = np.array([[math.nan, 0.8, 0.3], [0.5, math.nan, 1e-05]])
+        flags = np.array([[1, 0, 0], [0, 1, 0]])
+        chain = OptionChain(
+            strikes=np.array(strikes), maturities=np.array(taus), call_prices=calls,
+            put_prices=puts, implied_vols=vols, moneyness=np.array(strikes) / 100.0,
+            bound_flags=flags, s0=100.0, r=0.02,
+        )
+        write_option_chain_csv(tmp_path / "c.csv", chain, self.config)
+        rows = [
+            [f"{tau!r}", f"{k!r}", f"{float(calls[i, j])!r}", f"{float(puts[i, j])!r}",
+             f"{float(vols[i, j])!r}", f"{k / 100.0!r}", str(flags[i, j])]
+            for i, tau in enumerate(taus) for j, k in enumerate(strikes)
+        ]
+        assert rows[0][4] == "nan" and rows[0][6] == "1"
+        assert (tmp_path / "c.csv").read_text() == expected_csv(
+            self.config, "maturity_years,strike,call,put,implied_vol,moneyness,bound_flag", rows
+        )
+
+    def test_volatility(self, tmp_path):
+        days = tuple(date(2020, 2, 27) + timedelta(days=i) for i in range(len(EDGE)))
+        series = VolatilitySeries(dates=days, values=np.array(EDGE), kind="NDIG_IT")
+        write_volatility_csv(tmp_path / "v.csv", series, self.config)
+        assert (tmp_path / "v.csv").read_text() == expected_csv(
+            self.config, "date,kind,value_percent",
+            [[d.isoformat(), "NDIG_IT", f"{x!r}"] for d, x in zip(days, EDGE)],
+        )
+
+    def test_paths(self, tmp_path):
+        times = [0.0, 1.0, 2.5]
+        xs = [[-0.0, 1e-05, 1e16], [5e-324, 0.1, -2.0]]
+        write_paths_csv(
+            tmp_path / "p.csv", PathSet(np.array(times), np.array(xs), seed=4), self.config
+        )
+        assert (tmp_path / "p.csv").read_text() == expected_csv(
+            self.config, "path_id,time,x",
+            [[str(i), f"{t!r}", f"{x!r}"] for i in range(2) for t, x in zip(times, xs[i])],
+        )
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        series = VolatilitySeries(dates=(date(2020, 1, 1),), values=[1.0], kind="STD")
+        (tmp_path / "v.csv").mkdir()  # the final rename onto a directory fails
+        with pytest.raises(OSError):
+            write_volatility_csv(tmp_path / "v.csv", series, self.config)
+        assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        ragged = RollingFitSeries((date(2020, 1, 1), date(2020, 1, 2)), (), 150)
+        with pytest.raises(ValueError):
+            write_rolling_fit_csv(tmp_path / "r.csv", ragged, self.config)
+        assert not list(tmp_path.iterdir())
 
 
 class TestCli:

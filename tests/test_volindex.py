@@ -290,11 +290,6 @@ class TestNormalize:
         with pytest.raises(ValueError, match="zero-variance"):
             normalize(s)
 
-    def test_min_shift_variant(self):
-        dates = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(3))
-        s = VolatilitySeries(dates=dates, values=np.array([1.0, 2.0, 3.0]), kind="STD")
-        np.testing.assert_allclose(normalize(s, method="min_shift").values, [0.0, 1.0, 2.0])
-
 
 class TestBvixEndToEnd:
     def test_bsm_limit_matches_flat_vol(self):
@@ -357,18 +352,31 @@ class TestSharedChainBuilder:
 
 
 class TestBvixSeries:
-    def test_stationary_series_is_level(self, btc_params):
-        from ndigvol import FitConfig, simulate_paths
-        from ndigvol.volindex import bvix_series
+    """The BVIX series as the CLI builds it: rolling_fit, then bvix_from_rolling."""
 
-        n_prices = 161
-        x = simulate_paths(btc_params, np.array([0.0, 1.0]), n_prices - 1, seed=5).paths[:, 1]
+    @staticmethod
+    def closes_and_dates(params, n_prices, seed):
+        from ndigvol import simulate_paths
+
+        x = simulate_paths(params, np.array([0.0, 1.0]), n_prices - 1, seed=seed).paths[:, 1]
         closes = 1000.0 * np.exp(np.concatenate(([0.0], np.cumsum(x))))
         d0 = date(2019, 3, 1)
-        dates = tuple(d0 + timedelta(days=i) for i in range(n_prices))
-        series, gaps = bvix_series(
-            closes, dates, window=150, fit_config=FitConfig(n_restarts=2, max_evals=2000)
-        )
+        return closes, tuple(d0 + timedelta(days=i) for i in range(n_prices))
+
+    @staticmethod
+    def rolling(closes, dates, fit_config):
+        from ndigvol import rolling_fit
+
+        returns = ReturnSeries(dates=dates[1:], returns=np.diff(np.log(closes)))
+        return rolling_fit(returns, window=150, config=fit_config)
+
+    def test_stationary_series_is_level(self, btc_params):
+        from ndigvol import FitConfig, bvix_from_rolling
+
+        n_prices = 161
+        closes, dates = self.closes_and_dates(btc_params, n_prices, seed=5)
+        rolling = self.rolling(closes, dates, FitConfig(n_restarts=2, max_evals=2000))
+        series, gaps = bvix_from_rolling(closes, dates, rolling)
         assert len(series.values) == (n_prices - 1) - 150 + 1
         assert not gaps
         assert series.kind == "BVIX"
@@ -379,18 +387,11 @@ class TestBvixSeries:
     def test_failed_windows_become_gaps(self, btc_params):
         # a rate lookup with no date on or before the window end must surface
         # as a diagnosed gap, not a silent drop
-        from ndigvol import FitConfig, simulate_paths
-        from ndigvol.volindex import bvix_series
+        from ndigvol import FitConfig, bvix_from_rolling
 
-        n_prices = 152
-        x = simulate_paths(btc_params, np.array([0.0, 1.0]), n_prices - 1, seed=6).paths[:, 1]
-        closes = 1000.0 * np.exp(np.concatenate(([0.0], np.cumsum(x))))
-        d0 = date(2019, 3, 1)
-        dates = tuple(d0 + timedelta(days=i) for i in range(n_prices))
-        series, gaps = bvix_series(
-            closes, dates, window=150, rates={date(2030, 1, 1): 0.02},
-            fit_config=FitConfig(n_restarts=1, max_evals=1200),
-        )
+        closes, dates = self.closes_and_dates(btc_params, 152, seed=6)
+        rolling = self.rolling(closes, dates, FitConfig(n_restarts=1, max_evals=1200))
+        series, gaps = bvix_from_rolling(closes, dates, rolling, rates={date(2030, 1, 1): 0.02})
         assert len(series.values) == 0
         assert len(gaps) == 2
         assert all("no rate" in reason for _, reason in gaps)
