@@ -196,15 +196,17 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
 
     elif command == "bvix":
         prices = _require_input(args)
+        rates = _rates(config)
         series, gaps = bvix_from_rolling(
             prices.closes, prices.dates, _rolling(prices, config),
-            rates=_rates(config), config=_bvix_config(config),
+            rates=rates, config=_bvix_config(config),
         )
         _report_gaps(gaps)
         emit("bvix.csv", write_volatility_csv, series)
 
     elif command == "pipeline":
         prices = _require_input(args)
+        rates = _rates(config)
         returns = returns_from_prices(prices)
         rolling = _rolling(prices, config)
         emit("rolling_params.csv", write_rolling_fit_csv, rolling)
@@ -213,7 +215,7 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
         it = ndig_it_series(rolling, config.annualization)
         bv, gaps = bvix_from_rolling(
             prices.closes, prices.dates, rolling,
-            rates=_rates(config), config=_bvix_config(config),
+            rates=rates, config=_bvix_config(config),
         )
         _report_gaps(gaps)
         emit("std.csv", write_volatility_csv, std)

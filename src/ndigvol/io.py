@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +45,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Dated daily close prices; strictly increasing dates, positive closes."""
+    """Dated daily close prices; strictly increasing dates, finite positive closes."""
 
     dates: tuple[date, ...]
     closes: np.ndarray
@@ -56,8 +57,8 @@ class PriceSeries:
             raise ValueError("dates and closes must have the same length")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing")
-        if np.any(c <= 0.0):
-            raise ValueError("closes must be strictly positive")
+        if not np.all(np.isfinite(c) & (c > 0.0)):
+            raise ValueError("closes must be finite and strictly positive")
 
     def __len__(self) -> int:
         return len(self.closes)
@@ -102,9 +103,11 @@ class RunConfig:
     horizon_days: float = 30.0
 
     def config_hash(self) -> str:
-        payload = ";".join(
-            f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
-        )
+        """Hash of every field; a rate file counts by its content, not its path."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.rate_file is not None:
+            values["rate_file"] = hashlib.sha256(Path(self.rate_file).read_bytes()).hexdigest()
+        payload = ";".join(f"{name}={value!r}" for name, value in values.items())
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def provenance_line(self) -> str:
@@ -152,19 +155,22 @@ def config_from_mapping(overrides: dict[str, str]) -> RunConfig:
     return RunConfig(**kwargs)  # type: ignore[arg-type]
 
 
-def load_prices(path: str | Path) -> PriceSeries:
-    """Read a `date,close` CSV with ISO-8601 dates.
+def _read_dated_column(
+    path: str | Path, column: str, noun: str, rule: str, accept: Callable[[float], bool]
+) -> tuple[list[date], list[float]]:
+    """Rows of a `date,<column>` CSV: ISO-8601 dates, strictly increasing.
 
-    Rejects duplicate or unsorted dates and non-positive prices, naming the
-    offending line; calendar gaps are permitted but counted and logged.
+    Blank rows are skipped.  Every value must be a finite float that
+    ``accept`` takes (``rule`` says what it requires, for the message).
+    Every error names the file and, for a row, its line.
     """
     dates: list[date] = []
-    closes: list[float] = []
+    values: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["date", "close"]:
-            raise ValueError(f"{path}: expected header 'date,close', got {header}")
+        if header is None or [h.strip().lower() for h in header[:2]] != ["date", column]:
+            raise ValueError(f"{path}: expected header 'date,{column}', got {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -175,18 +181,28 @@ def load_prices(path: str | Path) -> PriceSeries:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad date {row[0]!r}: {exc}") from None
             try:
-                c = float(row[1])
+                v = float(row[1])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad price {row[1]!r}") from None
-            if not math.isfinite(c) or c <= 0.0:
-                raise ValueError(f"{path}:{lineno}: price must be positive, got {row[1]}")
+                raise ValueError(f"{path}:{lineno}: bad {noun} {row[1]!r}") from None
+            if not (math.isfinite(v) and accept(v)):
+                raise ValueError(f"{path}:{lineno}: {noun} must be {rule}, got {row[1]}")
             if dates:
                 if d == dates[-1]:
                     raise ValueError(f"{path}:{lineno}: duplicate date {d.isoformat()}")
                 if d < dates[-1]:
                     raise ValueError(f"{path}:{lineno}: dates not sorted at {d.isoformat()}")
             dates.append(d)
-            closes.append(c)
+            values.append(v)
+    return dates, values
+
+
+def load_prices(path: str | Path) -> PriceSeries:
+    """Read a `date,close` CSV with ISO-8601 dates.
+
+    Rejects duplicate or unsorted dates and non-positive prices, naming the
+    offending line; calendar gaps are permitted but counted and logged.
+    """
+    dates, closes = _read_dated_column(path, "close", "price", "positive", lambda c: c > 0.0)
     if len(dates) < 2:
         raise ValueError(f"{path}: need at least 2 rows")
     gaps = sum(1 for a, b in zip(dates, dates[1:]) if (b - a).days > 1)
@@ -196,23 +212,15 @@ def load_prices(path: str | Path) -> PriceSeries:
 
 
 def load_rates(path: str | Path) -> dict[date, float]:
-    """Read a `date,rate_annual` CSV of annualized risk-free rates."""
-    out: dict[date, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["date", "rate_annual"]:
-            raise ValueError(f"{path}: expected header 'date,rate_annual', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out[date.fromisoformat(row[0].strip())] = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not out:
+    """Read a `date,rate_annual` CSV of annualized risk-free rates.
+
+    Same row rules as ``load_prices``, except that a rate may be any finite
+    value.
+    """
+    dates, rates = _read_dated_column(path, "rate_annual", "rate", "finite", lambda r: True)
+    if not dates:
         raise ValueError(f"{path}: empty rate file")
-    return out
+    return dict(zip(dates, rates))
 
 
 def returns_from_prices(prices: PriceSeries) -> ReturnSeries:

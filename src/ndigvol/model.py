@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,13 +24,11 @@ __all__ = [
     "NDIGParams",
     "FeasibleInterval",
     "MomentSet",
-    "MomentLoads",
     "cgf",
     "chf",
     "chf_exponent",
     "cumulants",
     "moments",
-    "moment_loads",
     "feasible_interval",
     "max_damping",
 ]
@@ -106,32 +104,6 @@ class MomentSet:
     kurtosis: float
 
 
-class MomentLoads(NamedTuple):
-    """Reusable building blocks of the moment formulas.
-
-    total_load     -- gamma + rho, the combined drift loading on the clocks
-    mix_variance   -- rho**2 / lambda_t + sigma3**2, variance contributed per
-                      unit of outer-clock time
-    skew_mix       -- rho / lambda_t + total_load / lambda_u
-    clock_variance -- 1 / lambda_t + 1 / lambda_u, the variance of T(U(1))
-    """
-
-    total_load: float
-    mix_variance: float
-    skew_mix: float
-    clock_variance: float
-
-
-def moment_loads(p: NDIGParams) -> MomentLoads:
-    s = p.gamma + p.rho
-    return MomentLoads(
-        total_load=s,
-        mix_variance=p.rho**2 / p.lambda_t + p.sigma3**2,
-        skew_mix=p.rho / p.lambda_t + s / p.lambda_u,
-        clock_variance=1.0 / p.lambda_t + 1.0 / p.lambda_u,
-    )
-
-
 def _h(w: float, p: NDIGParams) -> float:
     """Inner radicand: 1 - 2*rho*w/lambda_t - sigma3^2 w^2 / lambda_t."""
     return 1.0 - (2.0 * p.rho * w + p.sigma3**2 * w * w) / p.lambda_t
@@ -193,7 +165,8 @@ def cumulants(p: NDIGParams) -> tuple[float, float, float, float]:
     exponents with unit mean; validated against arbitrary-precision
     differentiation of the cgf.
     """
-    s, sig, _, _ = moment_loads(p)
+    s = p.gamma + p.rho
+    sig = p.rho**2 / p.lambda_t + p.sigma3**2
     lt, lu = p.lambda_t, p.lambda_u
     rho, s3sq = p.rho, p.sigma3**2
 

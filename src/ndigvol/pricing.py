@@ -174,6 +174,15 @@ def _damped_integrand(v: np.ndarray, p: NDIGParams, ctx: MarketContext, a: float
     return np.exp(_rn_log_chf(u, p, ctx, k1)) / denom
 
 
+def _checked_damping(p: NDIGParams, grid: FFTGridConfig) -> float:
+    """The grid's damping, once it is known to lie in (0, max_damping(p))."""
+    a = grid.damping
+    a_cap = max_damping(p)
+    if not 0.0 < a < a_cap:
+        raise ValueError(f"damping {a} outside (0, {a_cap:.4g}) for these parameters")
+    return a
+
+
 def carr_madan_prices(
     p: NDIGParams, ctx: MarketContext, grid: FFTGridConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,10 +194,7 @@ def carr_madan_prices(
     spot keeps the covered moneyness band, and the wrap-around image size,
     independent of the price level.
     """
-    a = grid.damping
-    a_cap = max_damping(p)
-    if not 0.0 < a < a_cap:
-        raise ValueError(f"damping {a} outside (0, {a_cap:.4g}) for these parameters")
+    a = _checked_damping(p, grid)
     k1 = cgf(1.0, p)
     log_s0 = math.log(ctx.s0)
     v = np.arange(grid.n) * grid.dv
@@ -204,15 +210,16 @@ def carr_madan_prices(
 
 
 def integrand_tail_ratio(p: NDIGParams, ctx: MarketContext, grid: FFTGridConfig) -> float:
-    """|integrand| at v_max relative to its on-grid peak (truncation check)."""
+    """|integrand| at v_max relative to its on-grid peak (truncation check).
+
+    Raises ValueError for a damping outside (0, max_damping(p)), as
+    ``carr_madan_prices`` does.
+    """
+    a = _checked_damping(p, grid)
     k1 = cgf(1.0, p)
     v = np.arange(grid.n) * grid.dv
-    mags = np.abs(_damped_integrand(v, p, ctx, grid.damping, k1))
-    tail = abs(
-        complex(
-            _damped_integrand(np.array([grid.v_max]), p, ctx, grid.damping, k1)[0]
-        )
-    )
+    mags = np.abs(_damped_integrand(v, p, ctx, a, k1))
+    tail = abs(complex(_damped_integrand(np.array([grid.v_max]), p, ctx, a, k1)[0]))
     return tail / float(mags.max())
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimate import ReturnSeries, RollingFitSeries
 from .model import NDIGParams, moments
-from .pricing import FFTGridConfig, _chain
+from .pricing import DAYS_PER_YEAR, FFTGridConfig, _chain
 
 __all__ = [
     "MINUTES_30D",
@@ -284,7 +284,7 @@ def _bvix_one(
 ) -> float:
     pair = expiry_pair(day)
     strikes = np.linspace(config.strike_lo * spot, config.strike_hi * spot, config.n_strikes)
-    taus = [pair.m_t1 / (1440.0 * 365.0), pair.m_t2 / (1440.0 * 365.0)]
+    taus = [pair.m_t1 / (1440.0 * DAYS_PER_YEAR), pair.m_t2 / (1440.0 * DAYS_PER_YEAR)]
     calls, puts, _ = _chain(params, spot, rate, strikes, np.array(taus), config.grid)
     near, nxt = (
         term_inputs_from_chain(strikes, calls[i], puts[i], spot * math.exp(rate * tau), rate, tau)

@@ -19,6 +19,7 @@ from ndigvol import (
 )
 from ndigvol.cli import main
 from ndigvol.io import (
+    PriceSeries,
     RunConfig,
     config_from_mapping,
     load_config_file,
@@ -92,6 +93,13 @@ class TestLoadPrices:
         assert any("gap" in rec.message for rec in caplog.records)
 
 
+def test_price_series_rejects_nonfinite_closes():
+    days = (date(2020, 1, 1), date(2020, 1, 2))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PriceSeries(dates=days, closes=np.array([100.0, bad]))
+
+
 class TestRates:
     def test_roundtrip(self, tmp_path):
         f = tmp_path / "r.csv"
@@ -99,6 +107,18 @@ class TestRates:
         rates = load_rates(f)
         assert rates[date(2020, 1, 1)] == 0.015
         assert rates[date(2020, 6, 1)] == 0.02
+
+    @pytest.mark.parametrize("rows, lineno", [
+        ("2020-01-01,0.01\n2020-01-01,0.02\n", 3),
+        ("2020-01-02,0.01\n2020-01-01,0.02\n", 3),
+        ("2020-01-01,nan\n", 2),
+        ("2020-01-01,0.01\n2020-01-02,inf\n", 3),
+    ], ids=["repeated", "unsorted", "nan", "inf"])
+    def test_bad_row_names_its_line(self, tmp_path, rows, lineno):
+        f = tmp_path / "r.csv"
+        f.write_text("date,rate_annual\n" + rows)
+        with pytest.raises(ValueError, match=rf"r\.csv:{lineno}: "):
+            load_rates(f)
 
 
 class TestConfig:
@@ -311,6 +331,46 @@ class TestCli:
         for name in ("std.csv", "ndig_it.csv", "bvix.csv"):
             rows = (outs[0] / name).read_text().splitlines()
             assert len(rows) == 2 + 3, name  # 152 returns, window 150 -> 3 windows
+
+    def test_pipeline_rate_file(self, tmp_path, capsys):
+        prices = synthetic_price_csv(tmp_path / "p.csv", 153)
+        names = [
+            "rolling_params.csv", "std.csv", "ndig_it.csv", "bvix.csv",
+            "std_norm.csv", "ndig_it_norm.csv", "bvix_norm.csv",
+        ]
+
+        def run(tag: str, rates: str) -> tuple[int, Path]:
+            (tmp_path / tag).mkdir()
+            rate_file = tmp_path / tag / "r.csv"
+            rate_file.write_text("date,rate_annual\n" + rates)
+            out = tmp_path / tag / "out"
+            argv = [
+                "pipeline", "--input", str(prices), "--output-dir", str(out),
+                "--window", "150", "--seed", "3", "--rate-file", str(rate_file),
+                "--set", "n_restarts=2", "--set", "max_evals=1500",
+                "--set", "fft_n=2048",
+            ]
+            return main(argv), out
+
+        rates = "2015-01-01,0.01\n2015-05-31,0.03\n"
+        (code_a, a), (code_b, b) = run("a", rates), run("b", rates)
+        assert code_a == code_b == 0
+        for name in names:  # the same rates in another directory: the same bytes
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+        code_c, c = run("c", rates.replace("0.03", "0.04"))
+        assert code_c == 0
+        provenance_a, provenance_c = (
+            (out / "rolling_params.csv").read_text().split("\n", 1)[0] for out in (a, c)
+        )
+        assert provenance_a != provenance_c  # same version and seed: the config= hash
+
+        capsys.readouterr()
+        code_d, d = run("d", "2015-01-01,0.01\n2015-01-01,0.02\n")
+        assert code_d == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "r.csv:3: duplicate date" in payload["error"]
+        assert not d.exists()
 
 
 class TestMoreCommands:

@@ -64,8 +64,9 @@ class TestRiskNeutralChf:
 class TestCarrMadan:
     def test_damping_out_of_range_rejected(self, btc_params):
         bad = FFTGridConfig(damping=max_damping(btc_params) + 0.1)
-        with pytest.raises(ValueError, match="damping"):
-            carr_madan_prices(btc_params, atm_ctx(), bad)
+        for priced in (carr_madan_prices, integrand_tail_ratio):
+            with pytest.raises(ValueError, match="damping"):
+                priced(btc_params, atm_ctx(), bad)
 
     def test_deep_itm_is_intrinsic(self, btc_params):
         ctx = atm_ctx()
@@ -271,6 +272,16 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_every_module_name():
+    modules = (ndigvol.estimate, ndigvol.model, ndigvol.pricing, ndigvol.simulate,
+               ndigvol.volindex)
+    union = {name for module in modules for name in module.__all__}
+    assert set(ndigvol.__all__) == union | {"__version__"}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ndigvol, name) is getattr(module, name), name
 
 
 class TestPriceSurface:
