@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import CfQuadrature, FitConfig, RollingFitSeries, fit, rolling_fit
+from .estimate import CfQuadrature, RollingFitSeries, fit, rolling_fit
 from .io import (
     PriceSeries,
     RunConfig,
@@ -96,13 +96,8 @@ def _params(config: RunConfig) -> NDIGParams:
     )
 
 
-def _fit_config(config: RunConfig) -> FitConfig:
-    return FitConfig(
-        n_restarts=config.n_restarts,
-        max_evals=config.max_evals,
-        seed=config.seed,
-        quadrature=CfQuadrature(v_max=config.cf_v_max, n_nodes=config.cf_nodes),
-    )
+def _quadrature(config: RunConfig) -> CfQuadrature:
+    return CfQuadrature(v_max=config.cf_v_max, n_nodes=config.cf_nodes)
 
 
 def _grid(config: RunConfig) -> FFTGridConfig:
@@ -137,8 +132,7 @@ def _rolling(prices: PriceSeries, config: RunConfig) -> RollingFitSeries:
         returns_from_prices(prices),
         window=config.window,
         step=config.step,
-        warm_start=config.warm_start,
-        config=_fit_config(config),
+        quadrature=_quadrature(config),
     )
 
 
@@ -154,7 +148,7 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
     if command == "fit":
         prices = _require_input(args)
         returns = returns_from_prices(prices)
-        result = fit(returns, _fit_config(config))
+        result = fit(returns, _quadrature(config))
         rolling = RollingFitSeries(
             window_end_dates=(returns.dates[-1],), results=(result,),
             window_length=len(returns),
@@ -243,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
+        config.provenance_line()  # reads any rate file: a bad one fails before the work
         written = run_command(args.command, args, config)
     except (ValueError, OSError) as exc:
         print(

@@ -14,29 +14,31 @@ negligible weight are dropped: the default 101-node grid is evaluated on 16
 nodes (see ``CfQuadrature.folded_nodes_and_weights``).  Both model and
 sample moments are read at the unit (daily) horizon.
 
-gamma is held at 0 and the subordinator means at 1 throughout; positivity
-of sigma3 and the lambdas is enforced by log-reparameterization.  The
-minimizer is a derivative-free simplex with restarts from perturbed
-moment-matched initial points; proposals whose cgf domain excludes w = 1
-(which would make the fitted model unpriceable) are penalized, not
-rejected, to keep the simplex connected.
+gamma is held at 0 and the subordinator means at 1 throughout.  For a given
+lambda_t the four moment equations fix the other four parameters (mu3 and
+sigma3 in closed form, rho and lambda_u by a 2x2 Newton), so the moment
+terms vanish and the fit is a one-dimensional profile of the objective over
+lambda_t (variable projection, Golub & Pereyra 2003): a fixed scan, then a
+bounded Brent search around the best scan point.  Matched points whose cgf
+domain excludes w = 1 (which would make the fitted model unpriceable) carry
+``FEASIBILITY_PENALTY``.  A sample no NDIG law can match gets the Gaussian
+limit, flagged ``converged=False``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 
 from .model import MomentSet, NDIGParams, chf, cumulants
 
 __all__ = [
     "ReturnSeries",
     "CfQuadrature",
-    "FitConfig",
     "FitResult",
     "RollingFitSeries",
     "empirical_moments",
@@ -47,11 +49,14 @@ __all__ = [
 ]
 
 FEASIBILITY_PENALTY = 1.0e6
-# Nelder-Mead stopping tolerances on the parameter vector and the objective
-XATOL = 1e-7
-FATOL = 1e-12
-# evaluation budget of each warm-started window of rolling_fit
-WARM_MAX_EVALS = 2000
+# profile value where the moments cannot be matched: above any penalized point
+UNMATCHED = 2.0 * FEASIBILITY_PENALTY
+# largest lambda_t (and lambda_u) the profile reaches; the Gaussian limit's lambdas
+LAMBDA_CAP = 1e6
+# points of the profile scan, evenly spaced in z = logit(b / b_edge)
+N_SCAN = 24
+# Newton steps allowed for the moment match at one lambda_t
+MAX_NEWTON = 30
 # ecf node pairs whose grid weight is below this share of the largest are dropped
 NODE_WEIGHT_FLOOR = 1e-16
 # fewest returns fit accepts
@@ -134,14 +139,6 @@ class CfQuadrature:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    n_restarts: int = 5
-    max_evals: int = 5000
-    seed: int = 0
-    quadrature: CfQuadrature = field(default_factory=CfQuadrature)
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Best parameters with the objective value and its five squared terms
     (dM1^2, dM2^2, dM3^2, dM4^2, dCF^2)."""
@@ -205,13 +202,63 @@ def _excludes_w1(p: NDIGParams) -> bool:
     return p.sigma3**2 + 2.0 * p.rho >= min(p.lambda_t, p.lambda_u / 2.0)
 
 
+def _k34(r: float, a: float, b: float) -> tuple[float, float, tuple[float, ...]]:
+    """The model's standardized third and fourth cumulants, and their Jacobian in (r, a).
+
+    In units of the variance, with r = rho / sqrt(variance), a = 1/lambda_u
+    and b = 1/lambda_t (gamma = 0):
+
+        k3 = 3r[(a + b) - r^2 ab],
+        k4 = 15r^4a^3 + 18r^2a^2S + 12r^2b(a + b)S + 3(a + b)S^2,  S = 1 - r^2 a.
+    """
+    rr, ab = r * r, a + b
+    s = 1.0 - rr * a
+    k3 = 3.0 * r * (ab - rr * a * b)
+    k4 = (15.0 * rr * rr * a * a * a + 18.0 * rr * a * a * s
+          + 12.0 * rr * b * ab * s + 3.0 * ab * s * s)
+    # d/dS of k4, for the chain rule with dS/dr = -2ra and dS/da = -r^2
+    k4_s = 18.0 * rr * a * a + 12.0 * rr * b * ab + 6.0 * ab * s
+    jacobian = (
+        3.0 * ab - 9.0 * rr * a * b,
+        3.0 * r * (1.0 - rr * b),
+        (60.0 * rr * r * a * a * a + 36.0 * r * a * a * s + 24.0 * r * b * ab * s
+         - 2.0 * r * a * k4_s),
+        (45.0 * rr * rr * a * a + 36.0 * rr * a * s + 12.0 * rr * b * s + 3.0 * s * s
+         - rr * k4_s),
+    )
+    return k3, k4, jacobian
+
+
+def _match_moments(b: float, b_edge: float, skew: float,
+                   excess: float) -> tuple[float, float] | None:
+    """(r, a) of ``_k34`` that give standardized skewness ``skew`` and excess kurtosis ``excess``.
+
+    Newton starts at r = skew / (3 b_edge), a = b_edge - b, the exact root at
+    both ends of the profile (a = 0 and b = 0 are NIG laws) and for zero skew.
+    Returns None unless it settles within ``MAX_NEWTON`` steps at a > 0 with a
+    positive Brownian share 1 - r^2 (a + b).
+    """
+    r, a = skew / (3.0 * b_edge), b_edge - b
+    for _ in range(MAX_NEWTON):
+        k3, k4, (j11, j12, j21, j22) = _k34(r, a, b)
+        f1, f2 = k3 - skew, k4 - excess
+        det = j11 * j22 - j12 * j21
+        if not det:
+            return None
+        dr = (f1 * j22 - f2 * j12) / det
+        da = (j11 * f2 - j21 * f1) / det
+        r, a = r - dr, a - da
+        if abs(dr) <= 1e-12 * abs(r) and abs(da) <= 1e-12 * (a + b):
+            return (r, a) if a > 0.0 and r * r * (a + b) < 1.0 else None
+    return None
+
+
 class _PreparedObjective:
     """Per-series precomputation shared across objective evaluations.
 
     ``terms`` reads the sample moments ``emp`` and the ecf ``ecf`` at the
     folded nodes ``v`` with weights ``weights``; it builds no intermediate
-    moment or interval objects, since the simplex calls it thousands of
-    times per fit.
+    moment or interval objects.
     """
 
     def __init__(self, series: ReturnSeries, quadrature: CfQuadrature):
@@ -221,6 +268,12 @@ class _PreparedObjective:
                 raise ValueError(f"degenerate return series: zero sample {name}")
         self.v, self.weights = quadrature.folded_nodes_and_weights()
         self.ecf = np.asarray(empirical_chf(series, self.v))
+
+    @property
+    def b_edge(self) -> float:
+        """Largest matchable b = 1/lambda_t: at a = 0 ``_k34`` gives k3 = 3rb
+        and k4 = 12 r^2 b^2 + 3b, so matching both needs k4 = 4 skew^2 / 3 + 3b."""
+        return (self.emp.kurtosis - 3.0 - 4.0 * self.emp.skewness**2 / 3.0) / 3.0
 
     def terms(self, p: NDIGParams) -> tuple[float, float, float, float, float]:
         # the standardization is that of model.moments, term for term
@@ -240,6 +293,24 @@ class _PreparedObjective:
             val += FEASIBILITY_PENALTY
         return val
 
+    def matched(self, z: float) -> NDIGParams | None:
+        """The moment-matched parameters at b = b_edge / (1 + exp(-z)), or None."""
+        b_edge = self.b_edge
+        b = b_edge / (1.0 + math.exp(-z))
+        root = _match_moments(b, b_edge, self.emp.skewness, self.emp.kurtosis - 3.0)
+        if root is None:
+            return None
+        r, a = root
+        var = self.emp.variance
+        rho = r * math.sqrt(var)
+        return NDIGParams(
+            mu3=self.emp.mean - rho,
+            sigma3=math.sqrt(var * (1.0 - r * r * (a + b))),
+            rho=rho,
+            lambda_t=1.0 / b,
+            lambda_u=1.0 / a,
+        )
+
 
 def objective(
     p: NDIGParams, series: ReturnSeries, quadrature: CfQuadrature | None = None
@@ -256,103 +327,53 @@ def objective(
     )
 
 
-def _to_vector(p: NDIGParams) -> np.ndarray:
-    return np.array(
-        [p.mu3, math.log(p.sigma3), p.rho, math.log(p.lambda_t), math.log(p.lambda_u)]
-    )
-
-
-def _from_vector(x: np.ndarray) -> NDIGParams:
-    mu3, log_sigma3, rho, log_lambda_t, log_lambda_u = x.tolist()
-    return NDIGParams(
-        mu3=mu3,
-        sigma3=math.exp(min(max(log_sigma3, -50.0), 50.0)),
-        rho=rho,
-        lambda_t=math.exp(min(max(log_lambda_t, -50.0), 50.0)),
-        lambda_u=math.exp(min(max(log_lambda_u, -50.0), 50.0)),
-    )
-
-
-def _moment_matched_start(emp: MomentSet) -> NDIGParams:
-    """Initial point from inverting the dominant moment relations.
-
-    Excess kurtosis is carried mostly by the outer clock (about 3/lambda_u),
-    skewness mostly by 3*rho*variance/lambda_u; the Brownian scale absorbs
-    the rest of the variance.
-    """
-    excess = max(emp.kurtosis - 3.0, 0.05)
-    lam_u = 3.0 / excess
-    lam_t = 50.0 * lam_u
-    rho = emp.skewness * math.sqrt(emp.variance) * lam_u / 3.0
-    resid = emp.variance - rho * rho * (1.0 / lam_t + 1.0 / lam_u)
-    sigma3 = math.sqrt(max(resid, 0.25 * emp.variance))
-    return NDIGParams(
-        mu3=emp.mean - rho, sigma3=sigma3, rho=rho, lambda_t=lam_t, lambda_u=lam_u
-    )
-
-
-def _run_simplex(
-    prep: _PreparedObjective, x0: np.ndarray, config: FitConfig
-) -> tuple[NDIGParams, float, bool, int]:
-    res = minimize(
-        lambda x: prep.value(_from_vector(x)),
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": config.max_evals,
-            "xatol": XATOL,
-            "fatol": FATOL,
-            "adaptive": True,
-        },
-    )
-    return _from_vector(res.x), float(res.fun), bool(res.success), int(res.nfev)
-
-
-def fit(
-    series: ReturnSeries,
-    config: FitConfig | None = None,
-    initial: NDIGParams | None = None,
-) -> FitResult:
+def fit(series: ReturnSeries, quadrature: CfQuadrature | None = None) -> FitResult:
     """Fit (mu3, sigma3, rho, lambda_t, lambda_u) with gamma = 0.
 
-    Runs ``config.n_restarts`` simplex searches: the first from the
-    moment-matched start (or ``initial`` when given, e.g. a warm start),
-    the rest from multiplicatively perturbed copies.  Returns the best
-    point found; ``converged=False`` flags exhaustion of the evaluation
-    budget on the winning restart rather than a hard failure.
+    Profiles the objective over z = logit(b / b_edge), b = 1/lambda_t, whose
+    ends (lambda_t = ``LAMBDA_CAP`` and lambda_u near ``LAMBDA_CAP``) are
+    both near the same NIG law: ``N_SCAN`` evenly spaced points, then a
+    bounded Brent search between the best point's neighbours.  The result is
+    the best point evaluated, and deterministic.  When no scan point can
+    match the sample moments (excess kurtosis at most 4 skew^2 / 3, as for
+    Gaussian data), the result is the Gaussian limit: rho = 0, the sample
+    mean and variance, both lambdas at ``LAMBDA_CAP``, and
+    ``converged=False``.  ``converged`` means the moments were matched.
     """
-    cfg = config or FitConfig()
     if len(series) < MIN_LENGTH:
         raise ValueError(f"series length {len(series)} below floor {MIN_LENGTH}")
-    prep = _PreparedObjective(series, cfg.quadrature)
-    base = initial if initial is not None else _moment_matched_start(prep.emp)
-    rng = np.random.default_rng(cfg.seed)
+    prep = _PreparedObjective(series, quadrature or CfQuadrature())
+    evaluated: list[tuple[float, NDIGParams | None]] = []
 
-    starts = [_to_vector(base)]
-    for _ in range(cfg.n_restarts - 1):
-        x = _to_vector(base).copy()
-        x[0] += rng.normal(0.0, 0.5) * max(abs(x[0]), math.sqrt(prep.emp.variance) / 10)
-        x[1] += rng.normal(0.0, 0.3)
-        x[2] *= math.exp(rng.normal(0.0, 0.5))
-        x[3] += rng.normal(0.0, 1.0)
-        x[4] += rng.normal(0.0, 1.0)
-        starts.append(x)
+    def profile(z: float) -> float:
+        p = prep.matched(z)
+        evaluated.append((UNMATCHED if p is None else prep.value(p), p))
+        return evaluated[-1][0]
 
-    best: tuple[NDIGParams, float, bool, int] | None = None
-    total_evals = 0
-    for x0 in starts:
-        cand = _run_simplex(prep, x0, cfg)
-        total_evals += cand[3]
-        if best is None or cand[1] < best[1]:
-            best = cand
-    assert best is not None
-    params, value, success, _ = best
+    b_edge = prep.b_edge
+    if b_edge * LAMBDA_CAP > 1.0:
+        # -z_cap and z_cap are the lambda_t = LAMBDA_CAP end and its mirror, in either order
+        z_cap = abs(math.log(b_edge * LAMBDA_CAP - 1.0))
+        scan = np.linspace(-z_cap, z_cap, N_SCAN).tolist()
+        values = [profile(z) for z in scan]
+        i = values.index(min(values))
+        if values[i] < UNMATCHED:
+            bounds = (scan[max(i - 1, 0)], scan[min(i + 1, N_SCAN - 1)])
+            minimize_scalar(profile, bounds=bounds, method="bounded")
+    value, params = min(evaluated, key=lambda e: e[0], default=(UNMATCHED, None))
+    converged = params is not None
+    if not converged:
+        params = NDIGParams(
+            mu3=prep.emp.mean, sigma3=math.sqrt(prep.emp.variance), rho=0.0,
+            lambda_t=LAMBDA_CAP, lambda_u=LAMBDA_CAP,
+        )
+        value = prep.value(params)
     return FitResult(
         params=params,
         objective_value=value,
         term_breakdown=prep.terms(params),
-        converged=success,
-        evaluations=total_evals,
+        converged=converged,
+        evaluations=len(evaluated),
     )
 
 
@@ -360,37 +381,14 @@ def rolling_fit(
     series: ReturnSeries,
     window: int = 1008,
     step: int = 1,
-    warm_start: bool = True,
-    config: FitConfig | None = None,
+    quadrature: CfQuadrature | None = None,
 ) -> RollingFitSeries:
-    """One fit per length-``window`` moving window of the return series.
-
-    With ``warm_start`` each window after the first runs a single simplex
-    search initialized at the previous optimum (the data shifts by ``step``
-    points, so the optimum barely moves); cold windows rerun the full
-    restart schedule.  Warm searches stop after ``WARM_MAX_EVALS``
-    evaluations.
-    """
-    cfg = config or FitConfig()
-    n = len(series)
-    if n < window:
-        raise ValueError(f"series length {n} shorter than window {window}")
-    warm_cfg = replace(cfg, n_restarts=1, max_evals=WARM_MAX_EVALS)
-
-    ends: list[date] = []
-    results: list[FitResult] = []
-    prev: NDIGParams | None = None
-    for start in range(0, n - window + 1, step):
-        win = series.window(start, window)
-        if warm_start and prev is not None:
-            result = fit(win, warm_cfg, initial=prev)
-        else:
-            result = fit(win, cfg)
-        prev = result.params if warm_start else None
-        ends.append(win.dates[-1])
-        results.append(result)
+    """``fit`` of each length-``window`` moving window, every ``step`` returns."""
+    if len(series) < window:
+        raise ValueError(f"series length {len(series)} shorter than window {window}")
+    starts = range(0, len(series) - window + 1, step)
     return RollingFitSeries(
-        window_end_dates=tuple(ends),
-        results=tuple(results),
+        window_end_dates=tuple(series.dates[start + window - 1] for start in starts),
+        results=tuple(fit(series.window(start, window), quadrature) for start in starts),
         window_length=window,
     )

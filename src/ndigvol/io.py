@@ -16,15 +16,16 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .estimate import CfQuadrature, FitConfig, ReturnSeries, RollingFitSeries
+from .estimate import CfQuadrature, ReturnSeries, RollingFitSeries
 from .pricing import FFTGridConfig, OptionChain
 from .simulate import PathSet
 from .volindex import BvixConfig, VolatilitySeries
@@ -88,9 +89,6 @@ class RunConfig:
     rate: float = 0.02
     rate_file: str | None = None
     n_paths: int = 1000
-    n_restarts: int = FitConfig.n_restarts
-    max_evals: int = FitConfig.max_evals
-    warm_start: bool = True
     mu3: float = 0.0
     sigma3: float = 0.05
     rho: float = 0.0
@@ -98,7 +96,6 @@ class RunConfig:
     lambda_u: float = 0.2
     s0: float = 100.0
     maturity: float = 30.0 / 365.0
-    strike: float = 100.0
     x0: float = 0.0
     horizon_days: float = 30.0
 
@@ -111,16 +108,12 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
     def provenance_line(self) -> str:
+        return self._provenance
+
+    @cached_property
+    def _provenance(self) -> str:
+        # worked out on first use and kept, so a rate file is read once per config
         return f"# ndigvol={__version__} config={self.config_hash()} seed={self.seed}"
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean from {text!r}")
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -148,8 +141,6 @@ def config_from_mapping(overrides: dict[str, str]) -> RunConfig:
             kwargs[key] = int(text)
         elif ftype == "float":
             kwargs[key] = float(text)
-        elif ftype == "bool":
-            kwargs[key] = _parse_bool(text)
         else:
             kwargs[key] = text
     return RunConfig(**kwargs)  # type: ignore[arg-type]

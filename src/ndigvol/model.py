@@ -104,22 +104,15 @@ class MomentSet:
     kurtosis: float
 
 
-def _h(w: float, p: NDIGParams) -> float:
-    """Inner radicand: 1 - 2*rho*w/lambda_t - sigma3^2 w^2 / lambda_t."""
-    return 1.0 - (2.0 * p.rho * w + p.sigma3**2 * w * w) / p.lambda_t
-
-
-def _g(w: float, p: NDIGParams, h: float) -> float:
-    """Outer radicand given the inner one."""
-    return 1.0 - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - math.sqrt(h)) - 2.0 * p.gamma * w / p.lambda_u
-
-
 def cgf(w: float, p: NDIGParams) -> float:
     """Cumulant generating function of X_1 at real argument w.
 
     K(w) = mu3*w + lambda_u * (1 - sqrt(g(w))) with the nested radicands
-    h(w) and g(w); K over horizon t is t * K(w).  The domain enforced here
-    is ``feasible_interval``; raises ValueError outside it.
+    h(w) = 1 - (2*rho*w + sigma3^2 w^2) / lambda_t and g(w) = 1 -
+    2*(lambda_t / lambda_u) * (1 - sqrt(h)) - 2*gamma*w / lambda_u; K over
+    horizon t is t * K(w).  Each 1 - sqrt(x) is computed as (1 - x) / (1 +
+    sqrt(x)), as in ``chf_exponent``.  The domain enforced here is
+    ``feasible_interval``; raises ValueError outside it.
     """
     iv = feasible_interval(p)
     if not iv.contains(w):
@@ -127,9 +120,10 @@ def cgf(w: float, p: NDIGParams) -> float:
             f"cgf argument w={w} outside the feasible interval "
             f"[{iv.w_lo:.6g}, {iv.w_hi:.6g}] (radicand constraint)"
         )
-    h = max(_h(w, p), 0.0)
-    g = max(_g(w, p, h), 0.0)
-    return p.mu3 * w + p.lambda_u * (1.0 - math.sqrt(g))
+    # m = 2 * lambda_t * (1 - h) and t = lambda_u * (1 - g)
+    m = w * (4.0 * p.rho + 2.0 * p.sigma3**2 * w)
+    t = m / (1.0 + math.sqrt(max(1.0 - 0.5 * m / p.lambda_t, 0.0))) + 2.0 * p.gamma * w
+    return p.mu3 * w + t / (1.0 + math.sqrt(max(1.0 - t / p.lambda_u, 0.0)))
 
 
 def chf_exponent(u: ComplexLike, p: NDIGParams) -> ComplexLike:
@@ -139,16 +133,23 @@ def chf_exponent(u: ComplexLike, p: NDIGParams) -> ComplexLike:
     that w = 1 + b stays inside the feasible interval, both nested
     radicands keep a positive real part for every real v, so the principal
     square root never crosses a branch cut.
+
+    Each 1 - sqrt(x) is computed as (1 - x) / (1 + sqrt(x)): the radicands
+    tend to 1 as the lambdas grow, where the direct difference cancels
+    (a relative error of 1e-5 at lambda_t = 1e8), and 1 + sqrt(x) cannot
+    cancel since the principal root has a non-negative real part.  With
+    m = 2 * lambda_t * (1 - h) and t = lambda_u * (1 - g) the exponent is
+    i*mu3*u + t / (1 + sqrt(g)).
     """
     u = np.asarray(u, dtype=complex)
-    # scalar factors are combined before they meet the array, and the gamma
-    # term is skipped at gamma = 0: fewer array passes, the same result in
-    # every element (the reordered factors 2j and 1j scale exactly)
-    h = 1.0 - ((2j * p.rho) * u - p.sigma3**2 * u * u) / p.lambda_t
-    g = 1.0 - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - np.sqrt(h))
+    # scalar factors are combined before they meet the array, the scalar
+    # divisions are products with a reciprocal (a complex array divided by a
+    # float is a complex division), and the gamma term is skipped at gamma = 0
+    m = u * ((4j * p.rho) - (2.0 * p.sigma3**2) * u)
+    t = m / (1.0 + np.sqrt(1.0 - m * (0.5 / p.lambda_t)))
     if p.gamma:
-        g = g - 2j * u * p.gamma / p.lambda_u
-    out = (1j * p.mu3) * u + p.lambda_u * (1.0 - np.sqrt(g))
+        t = t + (2j * p.gamma) * u
+    out = (1j * p.mu3) * u + t / (1.0 + np.sqrt(1.0 - t * (1.0 / p.lambda_u)))
     return out if out.shape else complex(out)
 
 

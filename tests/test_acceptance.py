@@ -16,7 +16,6 @@ import numpy as np
 
 from ndigvol import (
     FFTGridConfig,
-    FitConfig,
     MarketContext,
     NDIGParams,
     ReturnSeries,
@@ -206,7 +205,7 @@ def test_c06_parity_bounds_monotonicity(btc_params):
 def test_c07_estimation_recovery(btc_params):
     t0 = time.time()
     s = _series(_unit_increments(btc_params, 100_000, seed=1))
-    res = fit(s, FitConfig(seed=0))
+    res = fit(s)
     emp = empirical_moments(s)
     m = moments(res.params)
     dms = (
@@ -217,7 +216,7 @@ def test_c07_estimation_recovery(btc_params):
     )
     rng = np.random.default_rng(123)
     gauss = _series(rng.normal(0.0, 0.05, 100_000))
-    gres = fit(gauss, FitConfig(seed=0))
+    gres = fit(gauss)
     gm = moments(gres.params)
     gp = gres.params
     rho_share = gp.rho**2 * (1 / gp.lambda_t + 1 / gp.lambda_u) / gm.variance
@@ -292,7 +291,7 @@ def test_c09_intrinsic_time_tracks_historical(btc_params):
         chunks.append(_unit_increments(p, length, seed=seed))
     series = _series(np.concatenate(chunks))
 
-    roll = rolling_fit(series, window=1008, step=1, warm_start=True)
+    roll = rolling_fit(series, window=1008, step=1)
     it_series = ndig_it_series(roll, annualization=252.0)
     std_series = rolling_std_vol(series, window=1008, annualization=252.0)
     assert it_series.dates == std_series.dates
@@ -324,7 +323,6 @@ def test_c10_pipeline_determinism(btc_params, tmp_path):
         argv = [
             "pipeline", "--input", str(prices_path), "--output-dir", str(out),
             "--window", "1008", "--seed", "7",
-            "--set", "n_restarts=2", "--set", "max_evals=2000",
         ]
         assert cli_main(argv) == 0
         outputs.append(out)

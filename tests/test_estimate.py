@@ -10,10 +10,10 @@ import pytest
 from conftest import random_params
 from ndigvol import (
     CfQuadrature,
-    FitConfig,
     NDIGParams,
     ReturnSeries,
     chf,
+    cumulants,
     empirical_chf,
     empirical_moments,
     feasible_interval,
@@ -23,10 +23,13 @@ from ndigvol import (
     rolling_fit,
     simulate_paths,
 )
+import ndigvol.estimate as estimate
 from ndigvol.estimate import (
     FEASIBILITY_PENALTY,
+    LAMBDA_CAP,
     NODE_WEIGHT_FLOOR,
     _excludes_w1,
+    _k34,
     _PreparedObjective,
 )
 
@@ -218,7 +221,7 @@ class TestFeasibilityClosedForm:
 class TestFit:
     def test_recovers_sample_moments(self, btc_params):
         s = simulated_series(btc_params, 30_000, seed=1)
-        res = fit(s, FitConfig(seed=0))
+        res = fit(s)
         emp = empirical_moments(s)
         m = moments(res.params)
         assert abs(1 - m.mean / emp.mean) <= 0.05
@@ -233,15 +236,23 @@ class TestFit:
         # the raw rho unidentified: rho * T(U(1)) degenerates to a constant
         # absorbed by the drift.  The identified statement is that rho's
         # distributional footprint vanishes: no skew, no variance share.
+        # This sample's excess kurtosis (-0.0057) is below any NDIG law's, so
+        # the fit answers with the Gaussian limit and flags it.
         rng = np.random.default_rng(123)
         s = make_series(rng.normal(0.0, 0.05, 50_000))
-        res = fit(s, FitConfig(seed=0))
+        res = fit(s)
         m = moments(res.params)
         p = res.params
         clock_var_share = p.rho**2 * (1 / p.lambda_t + 1 / p.lambda_u) / m.variance
         assert abs(m.skewness) <= 0.1
         assert m.kurtosis == pytest.approx(3.0, abs=0.1)
         assert clock_var_share < 0.01
+        emp = empirical_moments(s)
+        assert not res.converged
+        assert p == NDIGParams(
+            mu3=emp.mean, sigma3=math.sqrt(emp.variance), rho=0.0,
+            lambda_t=LAMBDA_CAP, lambda_u=LAMBDA_CAP,
+        )
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -253,25 +264,79 @@ class TestFit:
 
     def test_deterministic(self, btc_params):
         s = simulated_series(btc_params, 2000, seed=9)
-        cfg = FitConfig(seed=5, n_restarts=2, max_evals=1500)
-        a = fit(s, cfg)
-        b = fit(s, cfg)
-        assert a.params == b.params
-        assert a.objective_value == b.objective_value
+        assert fit(s) == fit(s)
+
+
+class TestProfileFit:
+    def test_reduced_cumulants_match_model(self):
+        # _k34 is model.cumulants at gamma = 0 in units of the variance, and
+        # b_edge is where it matches the sample at a = 0
+        rng = np.random.default_rng(2024)
+        prep = _PreparedObjective(make_series(rng.normal(0.0, 0.05, 200)), CfQuadrature())
+        n_edges = 0
+        for _ in range(2000):
+            p = random_params(rng)
+            _, k2, k3, k4 = cumulants(p)
+            r = p.rho / math.sqrt(k2)
+            got3, got4, _ = _k34(r, 1.0 / p.lambda_u, 1.0 / p.lambda_t)
+            assert got3 == pytest.approx(k3 / k2**1.5, rel=1e-14)
+            assert got4 == pytest.approx(k4 / k2**2, rel=1e-14)
+            prep.emp = moments(p)
+            b_edge = prep.b_edge
+            if b_edge > 0.0:
+                n_edges += 1
+                skew = prep.emp.skewness
+                edge3, edge4, _ = _k34(skew / (3.0 * b_edge), 0.0, b_edge)
+                assert edge3 == pytest.approx(skew, rel=1e-14)
+                assert edge4 == pytest.approx(prep.emp.kurtosis - 3.0, rel=1e-14)
+        assert n_edges > 1000
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            p = random_params(rng)
+            r = p.rho / math.sqrt(cumulants(p)[1])
+            a, b = 1.0 / p.lambda_u, 1.0 / p.lambda_t
+            _, _, (d3r, d3a, d4r, d4a) = _k34(r, a, b)
+            hr, ha = 1e-6 * abs(r), 1e-6 * a
+            fd3r, fd4r = np.subtract(_k34(r + hr, a, b)[:2], _k34(r - hr, a, b)[:2]) / (2 * hr)
+            fd3a, fd4a = np.subtract(_k34(r, a + ha, b)[:2], _k34(r, a - ha, b)[:2]) / (2 * ha)
+            assert [fd3r, fd3a] == pytest.approx([d3r, d3a], rel=1e-6, abs=1e-6 * abs(d3r))
+            assert [fd4r, fd4a] == pytest.approx([d4r, d4a], rel=1e-6, abs=1e-6 * abs(d4a))
+
+    def test_matched_points_zero_the_moment_terms(self, btc_params):
+        # across the whole profile, from lambda_t = LAMBDA_CAP to the edge
+        s = simulated_series(btc_params, 2000, seed=9)
+        prep = _PreparedObjective(s, CfQuadrature())
+        z_cap = math.log(prep.b_edge * LAMBDA_CAP - 1.0)
+        assert prep.matched(-z_cap).lambda_t == pytest.approx(LAMBDA_CAP, rel=1e-12)
+        for z in np.linspace(-z_cap, z_cap, 25):
+            p = prep.matched(float(z))
+            assert p is not None
+            assert max(prep.terms(p)[:4]) < 1e-28
+
+
+    def test_narrow_profile_scans_upward(self, btc_params, monkeypatch):
+        # with b_edge * LAMBDA_CAP in (1, 2) the cap's z is negative; the
+        # scan must still run from low to high z for the bounded search
+        s = simulated_series(btc_params, 2000, seed=9)
+        b_edge = _PreparedObjective(s, CfQuadrature()).b_edge
+        monkeypatch.setattr(estimate, "LAMBDA_CAP", 1.5 / b_edge)
+        res = fit(s)
+        assert res.converged
+        assert max(res.term_breakdown[:4]) < 1e-28
 
 
 class TestRollingFit:
     def test_window_counting(self, btc_params):
         s = simulated_series(btc_params, 1008, seed=2)
-        cfg = FitConfig(n_restarts=1, max_evals=1200)
-        roll = rolling_fit(s, window=1008, config=cfg)
+        roll = rolling_fit(s, window=1008)
         assert len(roll.results) == 1
         assert roll.window_end_dates == (s.dates[-1],)
 
     def test_three_windows_and_end_dates(self, btc_params):
         s = simulated_series(btc_params, 1010, seed=2)
-        cfg = FitConfig(n_restarts=1, max_evals=1200)
-        roll = rolling_fit(s, window=1008, step=1, config=cfg)
+        roll = rolling_fit(s, window=1008, step=1)
         assert len(roll.results) == 3
         assert roll.window_end_dates == (s.dates[1007], s.dates[1008], s.dates[1009])
 
@@ -280,20 +345,19 @@ class TestRollingFit:
         with pytest.raises(ValueError, match="shorter"):
             rolling_fit(s, window=1008)
 
-    def test_warm_matches_cold(self, btc_params):
+    def test_each_window_equals_its_fit(self, btc_params):
         s = simulated_series(btc_params, 1012, seed=10)
-        warm = rolling_fit(s, window=1008, warm_start=True)
-        cold = rolling_fit(s, window=1008, warm_start=False)
-        for w, c in zip(warm.results, cold.results):
-            if w.converged and c.converged:
-                assert abs(w.objective_value - c.objective_value) <= 1e-6
+        roll = rolling_fit(s, window=1008, step=2)
+        assert len(roll.results) == 3
+        for k, result in enumerate(roll.results):
+            assert result == fit(s.window(2 * k, 1008))
 
     def test_stationary_series_has_stable_trajectory(self, btc_params):
         # level-trajectory translation of the no-trend property: overlapping
         # windows make a naive slope t-test meaningless, so assert the fitted
         # Brownian scale hugs the truth with no first-to-second-half drift
         s = simulated_series(btc_params, 1300, seed=10)
-        roll = rolling_fit(s, window=1008, step=4, warm_start=True)
+        roll = rolling_fit(s, window=1008, step=4)
         sig = np.array([r.params.sigma3 for r in roll.results])
         assert np.all(np.abs(sig / btc_params.sigma3 - 1.0) < 0.2)
         half = len(sig) // 2

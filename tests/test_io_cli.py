@@ -145,7 +145,7 @@ class TestConfig:
 
     def test_default_hash_pinned(self):
         # the defaults' provenance hash; a change here changes every output's first line
-        assert RunConfig().config_hash() == "87aaf654bf5c"
+        assert RunConfig().config_hash() == "484445c9e2c7"
 
 
 # floats whose text is easy to get wrong: exponent forms, signed zero, the
@@ -285,6 +285,23 @@ class TestCli:
         assert payload["command"] == "rollfit"
         assert "requires --input" in payload["error"]
 
+    def test_missing_rate_file_fails_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        import ndigvol.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("rolling_fit reached")
+
+        monkeypatch.setattr(cli, "rolling_fit", no_fit)
+        prices = synthetic_price_csv(tmp_path / "p.csv", 160)
+        argv = [
+            "rollfit", "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+            "--window", "150", "--rate-file", str(tmp_path / "missing.csv"),
+        ]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "missing.csv" in payload["error"]
+        assert not (tmp_path / "out").exists()
+
     def test_infeasible_damping_rejected_before_compute(self, tmp_path):
         argv = [
             "price", "--output-dir", str(tmp_path), "--damping", "50.0",
@@ -316,7 +333,6 @@ class TestCli:
             argv = [
                 "pipeline", "--input", str(prices), "--output-dir", str(out),
                 "--window", "150", "--seed", "3",
-                "--set", "n_restarts=2", "--set", "max_evals=1500",
                 "--set", "fft_n=2048",
             ]
             assert main(argv) == 0
@@ -347,7 +363,6 @@ class TestCli:
             argv = [
                 "pipeline", "--input", str(prices), "--output-dir", str(out),
                 "--window", "150", "--seed", "3", "--rate-file", str(rate_file),
-                "--set", "n_restarts=2", "--set", "max_evals=1500",
                 "--set", "fft_n=2048",
             ]
             return main(argv), out
@@ -379,7 +394,6 @@ class TestMoreCommands:
         out = tmp_path / "out"
         argv = [
             "fit", "--input", str(prices), "--output-dir", str(out),
-            "--set", "n_restarts=2", "--set", "max_evals=2000",
         ]
         assert main(argv) == 0
         rows = (out / "fit_params.csv").read_text().splitlines()
@@ -408,7 +422,6 @@ class TestMoreCommands:
         common = [
             "--input", str(prices), "--output-dir", str(out),
             "--window", "150",
-            "--set", "n_restarts=1", "--set", "max_evals=1500",
             "--set", "fft_n=2048",
         ]
         assert main(["itvol", *common]) == 0
@@ -426,7 +439,6 @@ class TestMoreCommands:
         prices = synthetic_price_csv(tmp_path / "p.csv", 156, seed=7)
         common = [
             "--input", str(prices), "--window", "150", "--seed", "3",
-            "--set", "n_restarts=2", "--set", "max_evals=1500",
             "--set", "fft_n=2048",
         ]
         assert main(["pipeline", "--output-dir", str(tmp_path / "pipe"), *common]) == 0

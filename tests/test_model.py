@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,23 +280,14 @@ def test_cgf_power_identity_matches_powered_chf(btc_params):
         assert lhs == pytest.approx(rhs.real, rel=1e-12)
 
 
-def test_chf_exponent_matches_unfactored_form():
-    # chf_exponent folds its scalar factors together and skips the gamma
-    # term at gamma = 0; scaling by 2j or 1j is exact, so every element must
-    # equal the term-by-term expression of the nested radicals exactly
-    def unfactored(u, p):
-        u = np.asarray(u, dtype=complex)
-        h = 1.0 - (2j * u * p.rho - p.sigma3**2 * u * u) / p.lambda_t
-        g = (
-            1.0
-            - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - np.sqrt(h))
-            - 2j * u * p.gamma / p.lambda_u
-        )
-        return 1j * u * p.mu3 + p.lambda_u * (1.0 - np.sqrt(g))
-
+def test_chf_matches_oracle_up_to_huge_lambda_t():
+    # the radicands tend to 1 as lambda_t grows, where a direct 1 - sqrt(x)
+    # cancels; the exponent's (1 - x) / (1 + sqrt(x)) keeps chf at rounding
+    # level against the 40-digit oracle
     rng = np.random.default_rng(17)
-    v = np.linspace(-60.0, 60.0, 241)
-    for i in range(300):
-        p = random_params(rng, with_gamma=i % 2 == 1)
-        for u in (v, v - 1.4j, v - 1j * rng.uniform(0.0, 3.0)):
-            assert np.array_equal(chf_exponent(u, p), unfactored(u, p))
+    v = np.array([-20.0, -5.0, -1.0, -0.1, 0.1, 1.0, 5.0, 20.0])
+    for lambda_t in np.logspace(-1.0, 12.0, 40):
+        for with_gamma in (False, True):
+            p = replace(random_params(rng, with_gamma=with_gamma), lambda_t=float(lambda_t))
+            want = np.array([complex(mp_chf(float(x), p)) for x in v])
+            assert np.all(np.abs(chf(v, p) - want) <= 1e-14 * np.abs(want))

@@ -364,18 +364,18 @@ class TestBvixSeries:
         return closes, tuple(d0 + timedelta(days=i) for i in range(n_prices))
 
     @staticmethod
-    def rolling(closes, dates, fit_config):
+    def rolling(closes, dates):
         from ndigvol import rolling_fit
 
         returns = ReturnSeries(dates=dates[1:], returns=np.diff(np.log(closes)))
-        return rolling_fit(returns, window=150, config=fit_config)
+        return rolling_fit(returns, window=150)
 
     def test_stationary_series_is_level(self, btc_params):
-        from ndigvol import FitConfig, bvix_from_rolling
+        from ndigvol import bvix_from_rolling
 
         n_prices = 161
         closes, dates = self.closes_and_dates(btc_params, n_prices, seed=5)
-        rolling = self.rolling(closes, dates, FitConfig(n_restarts=2, max_evals=2000))
+        rolling = self.rolling(closes, dates)
         series, gaps = bvix_from_rolling(closes, dates, rolling)
         assert len(series.values) == (n_prices - 1) - 150 + 1
         assert not gaps
@@ -387,10 +387,10 @@ class TestBvixSeries:
     def test_failed_windows_become_gaps(self, btc_params):
         # a rate lookup with no date on or before the window end must surface
         # as a diagnosed gap, not a silent drop
-        from ndigvol import FitConfig, bvix_from_rolling
+        from ndigvol import bvix_from_rolling
 
         closes, dates = self.closes_and_dates(btc_params, 152, seed=6)
-        rolling = self.rolling(closes, dates, FitConfig(n_restarts=1, max_evals=1200))
+        rolling = self.rolling(closes, dates)
         series, gaps = bvix_from_rolling(closes, dates, rolling, rates={date(2030, 1, 1): 0.02})
         assert len(series.values) == 0
         assert len(gaps) == 2
