@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import MomentSet, NDIGParams, chf, cumulants
 
@@ -61,6 +60,9 @@ MAX_NEWTON = 30
 NODE_WEIGHT_FLOOR = 1e-16
 # fewest returns fit accepts
 MIN_LENGTH = 100
+# bounded Brent search: absolute tolerance in z, most profile evaluations
+BRENT_XATOL = 1e-5
+BRENT_MAX_EVALS = 500
 
 
 @dataclass(frozen=True)
@@ -312,6 +314,74 @@ class _PreparedObjective:
         )
 
 
+def _bounded_brent(func, a: float, b: float) -> None:
+    """Minimize ``func`` on [a, b] by Brent's bounded method (Brent 1973, ch. 5).
+
+    Golden-section steps, replaced by a parabolic step through the three
+    best points whenever that step is acceptable.  The steps and float
+    operations are those of scipy 1.17's ``minimize_scalar(method="bounded")``
+    at its defaults (xatol ``BRENT_XATOL``, at most ``BRENT_MAX_EVALS``
+    evaluations), so both evaluate the same points.  Returns nothing: the
+    caller keeps the points it evaluates.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point so far, nfc the second best, fulc the previous nfc
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    n_evals = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and n_evals < BRENT_MAX_EVALS:
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = func(x)
+        n_evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+
+
 def objective(
     p: NDIGParams, series: ReturnSeries, quadrature: CfQuadrature | None = None
 ) -> FitResult:
@@ -359,7 +429,7 @@ def fit(series: ReturnSeries, quadrature: CfQuadrature | None = None) -> FitResu
         i = values.index(min(values))
         if values[i] < UNMATCHED:
             bounds = (scan[max(i - 1, 0)], scan[min(i + 1, N_SCAN - 1)])
-            minimize_scalar(profile, bounds=bounds, method="bounded")
+            _bounded_brent(profile, *bounds)
     value, params = min(evaluated, key=lambda e: e[0], default=(UNMATCHED, None))
     converged = params is not None
     if not converged:

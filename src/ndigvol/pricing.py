@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import NDIGParams, cgf, chf_exponent, max_damping
 
@@ -239,6 +238,8 @@ def put_from_parity(call: float, ctx: MarketContext, strike: float) -> tuple[flo
 
 def bsm_price(ctx: MarketContext, strike: float, vol: float) -> float:
     """Black-Scholes-Merton European call value at annualized volatility."""
+    from scipy.special import ndtr  # loaded on first use: nothing else needs scipy
+
     if not vol > 0.0:
         raise ValueError("vol must be positive")
     sq = vol * math.sqrt(ctx.maturity)
@@ -276,6 +277,8 @@ def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
     vol far into the wings where the call price itself is not; every cell
     starts at vol 1.
     """
+    from scipy.special import ndtr  # loaded on first use, as in bsm_price
+
     cells = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (strikes, maturities, prices)))
     shape = cells[0].shape
     k, tau, c = (a.ravel() for a in cells)

@@ -13,11 +13,12 @@ continuous-calendar convention.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -245,14 +246,23 @@ def normalize(series: VolatilitySeries) -> VolatilitySeries:
     return VolatilitySeries(dates=series.dates, values=(v - v.mean()) / sd, kind=series.kind)
 
 
-def _rate_for(rates: Mapping[date, float] | float, day: date) -> float:
-    """Dated rate lookup with forward fill; constant rates pass through."""
+def _rate_lookup(rates: Mapping[date, float] | float) -> Callable[[date], float]:
+    """Dated rate lookup with forward fill; constant rates pass through.
+
+    The dates are sorted once, so each lookup is a bisection: the rate of
+    the latest date on or before the day asked for.
+    """
     if isinstance(rates, (int, float)):
-        return float(rates)
-    eligible = [d for d in rates if d <= day]
-    if not eligible:
-        raise ValueError(f"no rate on or before {day}")
-    return float(rates[max(eligible)])
+        return lambda day: float(rates)
+    days = sorted(rates)
+
+    def rate_for(day: date) -> float:
+        i = bisect.bisect_right(days, day)
+        if not i:
+            raise ValueError(f"no rate on or before {day}")
+        return float(rates[days[i - 1]])
+
+    return rate_for
 
 
 @dataclass(frozen=True)
@@ -308,6 +318,7 @@ def bvix_from_rolling(
     failures never drop silently.
     """
     cfg = config or BvixConfig()
+    rate_for = _rate_lookup(rates)
     date_to_price = dict(zip(price_dates, np.asarray(prices, dtype=float)))
     dates_out: list[date] = []
     values: list[float] = []
@@ -315,7 +326,7 @@ def bvix_from_rolling(
     for end_date, result in zip(rolling.window_end_dates, rolling.results):
         try:
             spot = date_to_price[end_date]
-            value = _bvix_one(result.params, spot, end_date, _rate_for(rates, end_date), cfg)
+            value = _bvix_one(result.params, spot, end_date, rate_for(end_date), cfg)
         except (ValueError, KeyError) as exc:
             logger.warning("BVIX window ending %s failed: %s", end_date, exc)
             gaps.append((end_date, str(exc)))

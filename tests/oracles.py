@@ -3,8 +3,8 @@
 Everything here is written from the defining formulas, not by calling the
 package under test: arbitrary-precision cgf/chf and cumulants (mpmath),
 fourth-order finite-difference cumulants, a slow adaptive-quadrature call
-pricer, a closed-form Black-Scholes chain builder and a bracketing
-implied-vol inversion.
+pricer, a closed-form Black-Scholes chain builder, a bracketing
+implied-vol inversion and scipy's bounded scalar minimizer.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.stats import norm
 
 mp.mp.dps = 40
@@ -166,3 +166,24 @@ def brentq_implied_vol(s, k, r, tau, price, lo=1e-8, hi=20.0):
     if abs(f(vol)) > 1e-10 * max(1.0, price):
         return None
     return vol
+
+
+# ---------------------------------------------------------------------------
+# bounded scalar minimization
+# ---------------------------------------------------------------------------
+
+def evaluated_points(minimizer, func, a: float, b: float) -> list[float]:
+    """Every x at which ``minimizer(f, a, b)`` evaluates ``func``, in order."""
+    xs: list[float] = []
+
+    def recorded(x):
+        xs.append(float(x))
+        return func(x)
+
+    minimizer(recorded, a, b)
+    return xs
+
+
+def scipy_bounded(func, a: float, b: float) -> None:
+    """scipy's Brent bounded minimizer at its default options."""
+    minimize_scalar(func, bounds=(a, b), method="bounded")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params
+from oracles import evaluated_points, scipy_bounded
 from ndigvol import (
     CfQuadrature,
     NDIGParams,
@@ -28,6 +29,8 @@ from ndigvol.estimate import (
     FEASIBILITY_PENALTY,
     LAMBDA_CAP,
     NODE_WEIGHT_FLOOR,
+    UNMATCHED,
+    _bounded_brent,
     _excludes_w1,
     _k34,
     _PreparedObjective,
@@ -325,6 +328,72 @@ class TestProfileFit:
         res = fit(s)
         assert res.converged
         assert max(res.term_breakdown[:4]) < 1e-28
+
+
+def _seeded_function(rng: np.random.Generator):
+    """A random test function with its bounds [a, b]: one of six kinds."""
+    a = float(rng.uniform(-5.0, 1.0))
+    b = a + float(rng.uniform(1e-3, 6.0))
+    # centres may fall outside [a, b], which puts the minimum at a bound
+    c = float(rng.uniform(a - 1.0, b + 1.0))
+    scale = float(10.0 ** rng.uniform(-3.0, 3.0))
+    kind = int(rng.integers(6))
+    if kind == 0:  # shifted quadratic
+        return (lambda x: scale * (x - c) ** 2 + 1.0), a, b
+    if kind == 1:  # tilted double well
+        w, tilt = float(rng.uniform(0.1, 2.0)), float(rng.uniform(-1.0, 1.0))
+        return (lambda x: scale * ((x - c) ** 2 - w * w) ** 2 + tilt * x), a, b
+    if kind == 2:  # a plateau on one side, as where the moments cannot be matched
+        side = 1.0 if rng.random() < 0.5 else -1.0
+        return (lambda x: UNMATCHED if side * (x - c) > 0.0 else scale * (x - c) ** 2), a, b
+    if kind == 3:  # constant
+        return (lambda x: scale), a, b
+    if kind == 4:  # staircase: runs of tied values
+        steps = float(rng.uniform(1.0, 20.0))
+        return (lambda x: scale * math.floor(steps * abs(x - c))), a, b
+    # linear: the minimum is at the bound the slope points to
+    slope = scale if rng.random() < 0.5 else -scale
+    return (lambda x: slope * x), a, b
+
+
+class TestBoundedBrent:
+    # scipy's minimize_scalar(method="bounded") is the oracle: the port must
+    # evaluate exactly the points it evaluates, in the same order
+    def test_evaluates_scipys_points_on_seeded_functions(self):
+        rng = np.random.default_rng(2026)
+        mismatched = []
+        for i in range(1200):
+            func, a, b = _seeded_function(rng)
+            ours = evaluated_points(_bounded_brent, func, a, b)
+            if ours != evaluated_points(scipy_bounded, func, a, b):
+                mismatched.append(i)
+        assert mismatched == []
+
+    def test_stops_at_the_evaluation_cap(self):
+        # a kink far inside a huge bracket: golden steps all the way down
+        def kink(x):
+            return x - 0.3 if x > 0.3 else 7.0 * (0.3 - x)
+
+        ours = evaluated_points(_bounded_brent, kink, -1e100, 1e100)
+        assert len(ours) == estimate.BRENT_MAX_EVALS
+        assert ours == evaluated_points(scipy_bounded, kink, -1e100, 1e100)
+
+    def test_evaluates_scipys_points_on_real_profiles(self, btc_params, monkeypatch):
+        # every 10th window of a four-regime series built as in C9
+        chunks = [
+            simulated_series(replace(btc_params, sigma3=sigma3), 750, seed=seed).returns
+            for sigma3, seed in ((0.03, 11), (0.06, 12), (0.04, 13), (0.08, 14))
+        ]
+        searches = []
+
+        def checked(func, a, b):
+            ours = evaluated_points(_bounded_brent, func, a, b)
+            searches.append(ours == evaluated_points(scipy_bounded, func, a, b))
+
+        monkeypatch.setattr(estimate, "_bounded_brent", checked)
+        rolling_fit(make_series(np.concatenate(chunks)), window=1008, step=10)
+        assert len(searches) >= 100
+        assert all(searches)
 
 
 class TestRollingFit:

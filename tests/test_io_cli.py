@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ndigvol
 from ndigvol import (
     FitResult,
     NDIGParams,
@@ -448,3 +452,27 @@ class TestMoreCommands:
             assert (tmp_path / "pipe" / name).read_bytes() == (
                 tmp_path / cmd / name
             ).read_bytes(), name
+
+
+def test_pipeline_never_loads_scipy(tmp_path):
+    # scipy is slow to import and only Black-Scholes prices need it:
+    # scipy.special loads on the first implied vol, scipy.optimize never
+    prices = synthetic_price_csv(tmp_path / "p.csv", 153)
+    argv = [
+        "pipeline", "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+        "--window", "150", "--seed", "3", "--set", "fft_n=2048",
+    ]
+    code = f"""
+import sys
+import ndigvol, ndigvol.cli
+assert ndigvol.cli.main({argv!r}) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+p = ndigvol.NDIGParams(mu3=0.004, sigma3=0.0551, rho=-0.0008, lambda_t=9.9293, lambda_u=0.145)
+ndigvol.price_surface(p, 100.0, 0.02, [90.0, 100.0, 110.0], [30 / 365])
+print("scipy.special" in sys.modules, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(ndigvol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.splitlines()[-2:] == ["[]", "True False"]  # after the written paths

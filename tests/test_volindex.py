@@ -23,7 +23,7 @@ from ndigvol import (
     term_variance,
     term_weights,
 )
-from ndigvol.volindex import MINUTES_30D, BvixConfig, _bvix_one
+from ndigvol.volindex import MINUTES_30D, BvixConfig, _bvix_one, _rate_lookup
 
 from oracles import flat_bsm_chain
 
@@ -395,3 +395,28 @@ class TestBvixSeries:
         assert len(series.values) == 0
         assert len(gaps) == 2
         assert all("no rate" in reason for _, reason in gaps)
+
+
+def _rate_by_scan(rates: dict, day: date) -> float:
+    """The forward-fill rule written out: the rate of the latest date on or before day."""
+    return float(rates[max(d for d in rates if d <= day)])
+
+
+def test_rate_lookup_matches_forward_fill_scan():
+    rng = np.random.default_rng(77)
+    d0 = date(2020, 1, 1)
+    for _ in range(200):
+        # dates inserted in random order, some days asked for exactly
+        offsets = rng.choice(400, size=int(rng.integers(1, 30)), replace=False)
+        rates = {d0 + timedelta(days=int(k)): float(rng.uniform(-0.01, 0.1)) for k in offsets}
+        lookup = _rate_lookup(rates)
+        days = [d0 + timedelta(days=int(k)) for k in rng.integers(-20, 420, size=40)]
+        for day in days + list(rates):
+            if day < min(rates):
+                with pytest.raises(ValueError, match=f"no rate on or before {day}"):
+                    lookup(day)
+            else:
+                assert lookup(day) == _rate_by_scan(rates, day)
+    assert _rate_lookup(0.03)(d0) == 0.03
+    with pytest.raises(ValueError, match="no rate"):
+        _rate_lookup({})(d0)
