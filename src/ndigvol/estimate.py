@@ -14,13 +14,13 @@ negligible weight are dropped: the default 101-node grid is evaluated on 16
 nodes (see ``CfQuadrature.folded_nodes_and_weights``).  Both model and
 sample moments are read at the unit (daily) horizon.
 
-gamma is held at 0 and the subordinator means at 1 throughout.  For a given
-lambda_t the four moment equations fix the other four parameters (mu3 and
-sigma3 in closed form, rho and lambda_u by a 2x2 Newton), so the moment
-terms vanish and the fit is a one-dimensional profile of the objective over
-lambda_t (variable projection, Golub & Pereyra 2003): a fixed scan, then a
-bounded Brent search around the best scan point.  Matched points whose cgf
-domain excludes w = 1 (which would make the fitted model unpriceable) carry
+The fit estimates the five parameters of ``NDIGParams``.  For a given
+lambda_t the four moment equations fix the other four (mu3 and sigma3 in
+closed form, rho and lambda_u by a 2x2 Newton), so the moment terms vanish
+and the fit is a one-dimensional profile of the objective over lambda_t
+(variable projection, Golub & Pereyra 2003): a fixed scan, then a bounded
+Brent search around the best scan point.  Matched points whose cgf domain
+excludes w = 1 (which would make the fitted model unpriceable) carry
 ``FEASIBILITY_PENALTY``.  A sample no NDIG law can match gets the Gaussian
 limit, flagged ``converged=False``.
 """
@@ -33,7 +33,7 @@ from datetime import date
 
 import numpy as np
 
-from .model import MomentSet, NDIGParams, chf, cumulants
+from .model import MomentSet, NDIGParams, _excludes_w1, chf, cumulants
 
 __all__ = [
     "ReturnSeries",
@@ -194,21 +194,11 @@ def empirical_chf(series: ReturnSeries, v) -> complex | np.ndarray:
     return out if np.ndim(v) else complex(out[0])
 
 
-def _excludes_w1(p: NDIGParams) -> bool:
-    """Whether ``feasible_interval(p).w_hi <= 1`` (gamma = 0), in closed form.
-
-    Each bounding quadratic sigma3^2 w^2 + 2 rho w - c (c = lambda_u / 2 or
-    lambda_t) is negative at w = 0, so its upper root is at most 1 exactly
-    when the quadratic is non-negative at w = 1.
-    """
-    return p.sigma3**2 + 2.0 * p.rho >= min(p.lambda_t, p.lambda_u / 2.0)
-
-
 def _k34(r: float, a: float, b: float) -> tuple[float, float, tuple[float, ...]]:
     """The model's standardized third and fourth cumulants, and their Jacobian in (r, a).
 
     In units of the variance, with r = rho / sqrt(variance), a = 1/lambda_u
-    and b = 1/lambda_t (gamma = 0):
+    and b = 1/lambda_t:
 
         k3 = 3r[(a + b) - r^2 ab],
         k4 = 15r^4a^3 + 18r^2a^2S + 12r^2b(a + b)S + 3(a + b)S^2,  S = 1 - r^2 a.
@@ -398,7 +388,7 @@ def objective(
 
 
 def fit(series: ReturnSeries, quadrature: CfQuadrature | None = None) -> FitResult:
-    """Fit (mu3, sigma3, rho, lambda_t, lambda_u) with gamma = 0.
+    """Fit the five NDIG parameters (mu3, sigma3, rho, lambda_t, lambda_u).
 
     Profiles the objective over z = logit(b / b_edge), b = 1/lambda_t, whose
     ends (lambda_t = ``LAMBDA_CAP`` and lambda_u near ``LAMBDA_CAP``) are

@@ -32,7 +32,7 @@ every other cell gets NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -146,8 +146,6 @@ class OptionChain:
     implied_vols: np.ndarray
     moneyness: np.ndarray
     bound_flags: np.ndarray
-    s0: float = field(default=0.0)
-    r: float = field(default=0.0)
 
 
 def risk_neutral_chf(v, p: NDIGParams, ctx: MarketContext):
@@ -408,6 +406,4 @@ def price_surface(
         implied_vols=vols,
         moneyness=strikes / s0,
         bound_flags=(flags | np.isnan(vols)).astype(int),
-        s0=s0,
-        r=r,
     )

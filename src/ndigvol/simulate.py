@@ -110,7 +110,7 @@ def simulate_paths(
     """Simulate NDIG log-price paths on a strictly increasing grid of day times.
 
     Per step d: dU ~ IG(mean=d, shape=lambda_u*d^2); dT | dU ~ IG(mean=dU,
-    shape=lambda_t*dU^2); dX = mu3*d + gamma*dU + rho*dT + sigma3*sqrt(dT)*Z.
+    shape=lambda_t*dU^2); dX = mu3*d + rho*dT + sigma3*sqrt(dT)*Z.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2:
@@ -136,7 +136,7 @@ def simulate_paths(
             du = _ig_draw(rng, ones * d, np.full(BLOCK, p.lambda_u * d * d))
             dt = _ig_draw(rng, du, p.lambda_t * du * du)
             z = rng.standard_normal(BLOCK)
-            x = x + p.mu3 * d + p.gamma * du + p.rho * dt + p.sigma3 * np.sqrt(dt) * z
+            x = x + p.mu3 * d + p.rho * dt + p.sigma3 * np.sqrt(dt) * z
             paths[lo:hi, j + 1] = x[: hi - lo]
     return PathSet(times=times, paths=paths, seed=seed)
 

@@ -66,7 +66,6 @@ class ExpiryPair:
     next_expiry: datetime
     m_t1: float
     m_t2: float
-    m_30: float = MINUTES_30D
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def expiry_pair(valuation_date: date) -> ExpiryPair:
 
 def term_weights(pair: ExpiryPair) -> tuple[float, float]:
     """Minute-accurate 30-day interpolation weights; w1 + w2 = 1."""
-    m1, m2, m30 = pair.m_t1, pair.m_t2, pair.m_30
+    m1, m2, m30 = pair.m_t1, pair.m_t2, MINUTES_30D
     if m1 >= m2:
         raise ValueError("degenerate expiry pair: m_t1 >= m_t2")
     w1 = (m1 / m30) * ((m2 - m30) / (m2 - m1))
@@ -229,7 +228,7 @@ def ndig_it_vol(p: NDIGParams, annualization: float = 252.0) -> float:
     """Model-implied volatility of the daily increment, annualized percent.
 
     100 * sqrt(Var(X_1) * annualization) with Var(X_1) = sigma3^2 +
-    rho^2 (1/lambda_t + 1/lambda_u) for gamma = 0.
+    rho^2 (1/lambda_t + 1/lambda_u).
     """
     return 100.0 * math.sqrt(moments(p).variance * annualization)
 

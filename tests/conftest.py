@@ -14,7 +14,7 @@ def btc_params() -> NDIGParams:
     )
 
 
-def random_params(rng: np.random.Generator, with_gamma: bool = False) -> NDIGParams:
+def random_params(rng: np.random.Generator) -> NDIGParams:
     """A random but sane parameter set (pricing-feasible not guaranteed)."""
     return NDIGParams(
         mu3=float(rng.uniform(-0.01, 0.01)),
@@ -22,5 +22,4 @@ def random_params(rng: np.random.Generator, with_gamma: bool = False) -> NDIGPar
         rho=float(rng.uniform(-0.03, 0.03)),
         lambda_t=float(np.exp(rng.uniform(np.log(0.05), np.log(50.0)))),
         lambda_u=float(np.exp(rng.uniform(np.log(0.05), np.log(50.0)))),
-        gamma=float(rng.uniform(-0.02, 0.02)) if with_gamma else 0.0,
     )

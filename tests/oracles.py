@@ -2,6 +2,7 @@
 
 Everything here is written from the defining formulas, not by calling the
 package under test: arbitrary-precision cgf/chf and cumulants (mpmath),
+the cgf domain as the intersection of two quadratic root intervals,
 fourth-order finite-difference cumulants, a slow adaptive-quadrature call
 pricer, a closed-form Black-Scholes chain builder, a bracketing
 implied-vol inversion and scipy's bounded scalar minimizer.
@@ -31,7 +32,7 @@ def mp_cgf(w, p):
     """cgf of the daily increment, mpmath precision."""
     w = mp.mpf(w)
     h = 1 - 2 * mp.mpf(p.rho) * w / p.lambda_t - mp.mpf(p.sigma3) ** 2 * w**2 / p.lambda_t
-    g = 1 - 2 * (mp.mpf(p.lambda_t) / p.lambda_u) * (1 - mp.sqrt(h)) - 2 * mp.mpf(p.gamma) * w / p.lambda_u
+    g = 1 - 2 * (mp.mpf(p.lambda_t) / p.lambda_u) * (1 - mp.sqrt(h))
     return mp.mpf(p.mu3) * w + p.lambda_u * (1 - mp.sqrt(g))
 
 
@@ -39,7 +40,7 @@ def mp_chf(v, p):
     """chf of the daily increment, mpmath precision."""
     v = mp.mpc(v)
     h = 1 - (2j * v * p.rho - mp.mpf(p.sigma3) ** 2 * v**2) / p.lambda_t
-    g = 1 - 2 * (mp.mpf(p.lambda_t) / p.lambda_u) * (1 - mp.sqrt(h)) - 2j * v * p.gamma / p.lambda_u
+    g = 1 - 2 * (mp.mpf(p.lambda_t) / p.lambda_u) * (1 - mp.sqrt(h))
     return mp.exp(1j * v * p.mu3 + p.lambda_u * (1 - mp.sqrt(g)))
 
 
@@ -47,6 +48,19 @@ def mp_cumulants(p) -> tuple[float, float, float, float]:
     """Cumulants by high-precision differentiation of the cgf at 0."""
     f = lambda w: mp_cgf(w, p)
     return tuple(float(mp.diff(f, 0, n)) for n in (1, 2, 3, 4))
+
+
+# ---------------------------------------------------------------------------
+# cgf domain as the intersection of two root intervals
+# ---------------------------------------------------------------------------
+
+def two_root_interval(p) -> tuple[float, float]:
+    """Intersection of the root intervals of sigma3^2 w^2 + 2 rho w <= c for
+    the sufficient outer-radicand condition (c = lambda_u / 2) and the inner
+    radicand h(w) >= 0 (c = lambda_t), each by the quadratic formula."""
+    s2 = p.sigma3**2
+    discs = [math.sqrt(p.rho * p.rho + s2 * c) for c in (p.lambda_u / 2.0, p.lambda_t)]
+    return max((-p.rho - d) / s2 for d in discs), min((-p.rho + d) / s2 for d in discs)
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +100,11 @@ def fd_cumulants(cgf, half_width: float) -> tuple[float, float, float, float]:
 def _rn_log_chf_np(u, p, s0, r, tau):
     u = np.asarray(u, dtype=complex)
     h = 1.0 - (2j * u * p.rho - p.sigma3**2 * u * u) / p.lambda_t
-    g = 1.0 - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - np.sqrt(h)) - 2j * u * p.gamma / p.lambda_u
+    g = 1.0 - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - np.sqrt(h))
     psi = 1j * u * p.mu3 + p.lambda_u * (1.0 - np.sqrt(g))
 
     h1 = 1.0 - (2.0 * p.rho + p.sigma3**2) / p.lambda_t
-    g1 = 1.0 - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - math.sqrt(h1)) - 2.0 * p.gamma / p.lambda_u
+    g1 = 1.0 - 2.0 * (p.lambda_t / p.lambda_u) * (1.0 - math.sqrt(h1))
     k1 = p.mu3 + p.lambda_u * (1.0 - math.sqrt(g1))
 
     t = DAYS_PER_YEAR * tau

@@ -75,8 +75,8 @@ def test_c01_chf_cgf_consistency(btc_params):
     cases = [btc_params] + [random_params(rng) for _ in range(20)]
     worst = 0.0
     for p in cases:
-        iv = feasible_interval(p)
-        for w in np.linspace(0.95 * iv.w_lo, 0.95 * iv.w_hi, 50):
+        w_lo, w_hi = feasible_interval(p)
+        for w in np.linspace(0.95 * w_lo, 0.95 * w_hi, 50):
             lhs = math.exp(cgf(float(w), p))
             rhs = chf(-1j * float(w), p)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))

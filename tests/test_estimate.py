@@ -31,10 +31,10 @@ from ndigvol.estimate import (
     NODE_WEIGHT_FLOOR,
     UNMATCHED,
     _bounded_brent,
-    _excludes_w1,
     _k34,
     _PreparedObjective,
 )
+from ndigvol.model import _excludes_w1
 
 
 def make_series(returns) -> ReturnSeries:
@@ -208,7 +208,7 @@ class TestFeasibilityClosedForm:
         rng = np.random.default_rng(2024)
         draws = [random_params(rng) for _ in range(2000)] + NEAR_W1_BOUNDARY
         excluded = [_excludes_w1(p) for p in draws]
-        assert excluded == [feasible_interval(p).w_hi <= 1.0 for p in draws]
+        assert excluded == [feasible_interval(p)[1] <= 1.0 for p in draws]
         assert 0 < sum(excluded) < len(draws)
         assert all(_excludes_w1(p) for p in W1_BOUNDARY)
 
@@ -217,7 +217,7 @@ class TestFeasibilityClosedForm:
         rng = np.random.default_rng(7)
         draws = [random_params(rng) for _ in range(300)] + NEAR_W1_BOUNDARY
         for p in draws:
-            penalty = FEASIBILITY_PENALTY if feasible_interval(p).w_hi <= 1.0 else 0.0
+            penalty = FEASIBILITY_PENALTY if feasible_interval(p)[1] <= 1.0 else 0.0
             assert prep.value(p) == sum(prep.terms(p)) + penalty
 
 

@@ -197,7 +197,7 @@ class TestWriters:
         chain = OptionChain(
             strikes=np.array(strikes), maturities=np.array(taus), call_prices=calls,
             put_prices=puts, implied_vols=vols, moneyness=np.array(strikes) / 100.0,
-            bound_flags=flags, s0=100.0, r=0.02,
+            bound_flags=flags,
         )
         write_option_chain_csv(tmp_path / "c.csv", chain, self.config)
         rows = [

@@ -353,7 +353,7 @@ class TestPriceSurface:
         assert n_floored > 0
 
     def test_bsm_degenerate_limit(self):
-        # rho = gamma = 0 and huge subordinator shapes collapse the clock to
+        # rho = 0 and huge subordinator shapes collapse the clock to
         # calendar time; prices must match the closed form and the implied
         # surface must flatten at sigma3 * sqrt(365)
         vol = 0.0551 * math.sqrt(365.0)

@@ -58,7 +58,7 @@ class TestExpiryPair:
         assert (pair.next_expiry.date() - d).days == 35
 
     def test_minutes_in_30_days(self):
-        assert expiry_pair(date(2022, 5, 17)).m_30 == 43200.0
+        assert MINUTES_30D == 43200
 
     def test_windows_over_all_weekdays(self):
         for offset in range(7):
