@@ -127,6 +127,17 @@ def _surface_strikes(config: RunConfig) -> np.ndarray:
     )
 
 
+def _bvix(prices: PriceSeries, rolling: RollingFitSeries, rates, config: RunConfig):
+    """BVIX of each fitted window; each skipped window is reported on stderr as JSON."""
+    series, gaps = bvix_from_rolling(
+        prices.closes, prices.dates, rolling, rates=rates, config=_bvix_config(config)
+    )
+    for day, reason in gaps:
+        record = {"warning": "bvix_window_skipped", "date": day.isoformat(), "reason": reason}
+        print(json.dumps(record), file=sys.stderr)
+    return series
+
+
 def _rolling(prices: PriceSeries, config: RunConfig) -> RollingFitSeries:
     return rolling_fit(
         returns_from_prices(prices),
@@ -191,45 +202,31 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
     elif command == "bvix":
         prices = _require_input(args)
         rates = _rates(config)
-        series, gaps = bvix_from_rolling(
-            prices.closes, prices.dates, _rolling(prices, config),
-            rates=rates, config=_bvix_config(config),
-        )
-        _report_gaps(gaps)
-        emit("bvix.csv", write_volatility_csv, series)
+        emit("bvix.csv", write_volatility_csv, _bvix(prices, _rolling(prices, config), rates, config))
 
     elif command == "pipeline":
         prices = _require_input(args)
         rates = _rates(config)
         returns = returns_from_prices(prices)
+        n_windows = len(range(0, len(returns) - config.window + 1, config.step))
+        if n_windows < 2:
+            raise ValueError(f"pipeline needs at least 2 fit windows to normalize, got {n_windows}")
         rolling = _rolling(prices, config)
+        series = {
+            "std": rolling_std_vol(returns, config.window, config.annualization),
+            "ndig_it": ndig_it_series(rolling, config.annualization),
+            "bvix": _bvix(prices, rolling, rates, config),
+        }
+        norms = {name: normalize(s) for name, s in series.items()}  # before any file is written
         emit("rolling_params.csv", write_rolling_fit_csv, rolling)
-
-        std = rolling_std_vol(returns, config.window, config.annualization)
-        it = ndig_it_series(rolling, config.annualization)
-        bv, gaps = bvix_from_rolling(
-            prices.closes, prices.dates, rolling,
-            rates=rates, config=_bvix_config(config),
-        )
-        _report_gaps(gaps)
-        emit("std.csv", write_volatility_csv, std)
-        emit("ndig_it.csv", write_volatility_csv, it)
-        emit("bvix.csv", write_volatility_csv, bv)
-        for name, series in (("std", std), ("ndig_it", it), ("bvix", bv)):
-            emit(f"{name}_norm.csv", write_volatility_csv, normalize(series))
+        for name, s in series.items():
+            emit(f"{name}.csv", write_volatility_csv, s)
+        for name, s in norms.items():
+            emit(f"{name}_norm.csv", write_volatility_csv, s)
 
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown command {command!r}")
     return written
-
-
-def _report_gaps(gaps) -> None:
-    for day, reason in gaps:
-        print(
-            json.dumps({"warning": "bvix_window_skipped", "date": day.isoformat(),
-                        "reason": reason}),
-            file=sys.stderr,
-        )
 
 
 def main(argv: list[str] | None = None) -> int:

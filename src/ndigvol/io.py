@@ -2,10 +2,12 @@
 
 All outputs are plain CSV with a single provenance comment line on top
 (`# ndigvol=<version> config=<hash> seed=<seed>`) and fixed column schemas.
-Each writer hands whole columns to the csv module, which writes Python
-floats as their shortest round-trip repr (`nan` for a missing value) and
-flags as 0/1 ints, so identical inputs and seed reproduce identical bytes.
-Files are written atomically (temp-then-rename).
+Each writer hands whole numpy columns to one column writer, which streams
+them to the csv module in fixed blocks of rows, so its memory does not
+grow with the file.  The csv module writes each float as its shortest
+round-trip repr (`nan` for a missing value) and each flag as a 0/1 int, so
+identical inputs and seed reproduce identical bytes.  Files are written
+atomically (temp-then-rename).
 """
 
 from __future__ import annotations
@@ -137,12 +139,10 @@ def config_from_mapping(overrides: dict[str, str]) -> RunConfig:
         if key not in by_name:
             raise ValueError(f"unknown config key {key!r}")
         ftype = by_name[key].type
-        if ftype == "int":
-            kwargs[key] = int(text)
-        elif ftype == "float":
-            kwargs[key] = float(text)
-        else:
-            kwargs[key] = text
+        try:
+            kwargs[key] = {"int": int, "float": float}.get(ftype, str)(text)
+        except ValueError:
+            raise ValueError(f"config key {key!r} expects {ftype}, got {text!r}") from None
     return RunConfig(**kwargs)  # type: ignore[arg-type]
 
 
@@ -221,13 +221,15 @@ def returns_from_prices(prices: PriceSeries) -> ReturnSeries:
     )
 
 
-def _floats(values) -> list[float]:
-    """Python floats, so the csv module writes each as its shortest round-trip repr."""
-    return np.asarray(values, dtype=float).ravel().tolist()
+_BLOCK_ROWS = 4096
 
 
-def _atomic_write(path: str | Path, config: RunConfig, columns: dict[str, list]) -> None:
-    """Provenance line, header, then one row per index of the equal-length columns."""
+def _atomic_write(path: str | Path, config: RunConfig, columns: dict[str, np.ndarray | list]) -> None:
+    """Provenance line, header, then the rows of the equal-length 1-D columns,
+    ``_BLOCK_ROWS`` at a time, so that only one block is ever held as Python objects."""
+    cols = [np.asarray(col) for col in columns.values()]
+    if len({len(col) for col in cols}) > 1:
+        raise ValueError(f"columns differ in length: {[len(col) for col in cols]}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -236,7 +238,8 @@ def _atomic_write(path: str | Path, config: RunConfig, columns: dict[str, list])
             fh.write(config.provenance_line() + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(zip(*columns.values(), strict=True))
+            for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+                writer.writerows(zip(*(col[lo:lo + _BLOCK_ROWS].tolist() for col in cols)))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -248,26 +251,26 @@ def write_rolling_fit_csv(path: str | Path, rolling: RollingFitSeries, config: R
     params = [r.params for r in rolling.results]
     _atomic_write(path, config, {
         "window_end": [d.isoformat() for d in rolling.window_end_dates],
-        "mu3": _floats([p.mu3 for p in params]),
-        "sigma3": _floats([p.sigma3 for p in params]),
-        "rho": _floats([p.rho for p in params]),
-        "lambda_T": _floats([p.lambda_t for p in params]),
-        "lambda_U": _floats([p.lambda_u for p in params]),
-        "objective": _floats([r.objective_value for r in rolling.results]),
-        "converged": [int(r.converged) for r in rolling.results],
+        "mu3": np.asarray([p.mu3 for p in params], dtype=float),
+        "sigma3": np.asarray([p.sigma3 for p in params], dtype=float),
+        "rho": np.asarray([p.rho for p in params], dtype=float),
+        "lambda_T": np.asarray([p.lambda_t for p in params], dtype=float),
+        "lambda_U": np.asarray([p.lambda_u for p in params], dtype=float),
+        "objective": np.asarray([r.objective_value for r in rolling.results], dtype=float),
+        "converged": np.asarray([r.converged for r in rolling.results], dtype=int),
     })
 
 
 def write_option_chain_csv(path: str | Path, chain: OptionChain, config: RunConfig) -> None:
     n_mat, n_strikes = len(chain.maturities), len(chain.strikes)
     _atomic_write(path, config, {
-        "maturity_years": _floats(np.repeat(chain.maturities, n_strikes)),
-        "strike": _floats(np.tile(chain.strikes, n_mat)),
-        "call": _floats(chain.call_prices),
-        "put": _floats(chain.put_prices),
-        "implied_vol": _floats(chain.implied_vols),
-        "moneyness": _floats(np.tile(chain.moneyness, n_mat)),
-        "bound_flag": np.asarray(chain.bound_flags, dtype=int).ravel().tolist(),
+        "maturity_years": np.repeat(np.asarray(chain.maturities, dtype=float), n_strikes),
+        "strike": np.tile(np.asarray(chain.strikes, dtype=float), n_mat),
+        "call": np.asarray(chain.call_prices, dtype=float).ravel(),
+        "put": np.asarray(chain.put_prices, dtype=float).ravel(),
+        "implied_vol": np.asarray(chain.implied_vols, dtype=float).ravel(),
+        "moneyness": np.tile(np.asarray(chain.moneyness, dtype=float), n_mat),
+        "bound_flag": np.asarray(chain.bound_flags, dtype=int).ravel(),
     })
 
 
@@ -275,14 +278,14 @@ def write_volatility_csv(path: str | Path, series: VolatilitySeries, config: Run
     _atomic_write(path, config, {
         "date": [d.isoformat() for d in series.dates],
         "kind": [series.kind] * len(series.dates),
-        "value_percent": _floats(series.values),
+        "value_percent": np.asarray(series.values, dtype=float),
     })
 
 
 def write_paths_csv(path: str | Path, paths: PathSet, config: RunConfig) -> None:
     n_times = len(paths.times)
     _atomic_write(path, config, {
-        "path_id": np.repeat(np.arange(paths.n_paths), n_times).tolist(),
-        "time": _floats(np.tile(paths.times, paths.n_paths)),
-        "x": _floats(paths.paths),
+        "path_id": np.repeat(np.arange(paths.n_paths), n_times),
+        "time": np.tile(np.asarray(paths.times, dtype=float), paths.n_paths),
+        "x": np.asarray(paths.paths, dtype=float).ravel(),
     })

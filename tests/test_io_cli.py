@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from ndigvol import (
 )
 from ndigvol.cli import main
 from ndigvol.io import (
+    _BLOCK_ROWS,
     PriceSeries,
     RunConfig,
     config_from_mapping,
@@ -140,6 +144,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"not_a_key": "1"})
 
+    @pytest.mark.parametrize("key, text, kind", [("n_paths", "1e4", "int"), ("sigma3", "abc", "float")])
+    def test_bad_value_names_its_key(self, key, text, kind):
+        with pytest.raises(ValueError) as err:
+            config_from_mapping({key: text})
+        assert str(err.value) == f"config key {key!r} expects {kind}, got {text!r}"
+
     def test_hash_stable_and_sensitive(self):
         a = RunConfig()
         b = RunConfig()
@@ -229,6 +239,51 @@ class TestWriters:
             self.config, "path_id,time,x",
             [[str(i), f"{t!r}", f"{x!r}"] for i in range(2) for t, x in zip(times, xs[i])],
         )
+
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    def test_blocks_match_one_shot_writer(self, tmp_path, n_rows):
+        def one_shot(header, rows) -> bytes:
+            buf = io.StringIO()
+            buf.write(self.config.provenance_line() + "\n")
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            return buf.getvalue().encode()
+
+        rng = np.random.default_rng(n_rows)
+        values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 17, n_rows)
+        values[: len(EDGE)] = EDGE[:n_rows]
+        # paths of several times where the row count allows, so that rows cross path boundaries
+        n_times = next(k for k in (3, 4, 17, 1) if n_rows % k == 0)
+        times = np.linspace(0.0, 2.5, n_times)
+        xs = values.reshape(-1, n_times)
+        write_paths_csv(tmp_path / "p.csv", PathSet(times, xs, seed=4), self.config)
+        assert (tmp_path / "p.csv").read_bytes() == one_shot(
+            ["path_id", "time", "x"],
+            [[i, t, x] for i in range(len(xs)) for t, x in zip(times.tolist(), xs[i].tolist())],
+        )
+
+        days = tuple(date(1990, 1, 1) + timedelta(days=i) for i in range(n_rows))
+        write_volatility_csv(tmp_path / "v.csv", VolatilitySeries(days, values, "STD"), self.config)
+        assert (tmp_path / "v.csv").read_bytes() == one_shot(
+            ["date", "kind", "value_percent"],
+            [[d.isoformat(), "STD", v] for d, v in zip(days, values.tolist())],
+        )
+
+    def test_paths_memory_does_not_grow_with_the_file(self, tmp_path):
+        # 310,000 rows: held as Python objects all at once they take about 31 MB
+        xs = np.random.default_rng(0).standard_normal((10_000, 31))
+        paths = PathSet(np.arange(31.0), xs, seed=4)
+        self.config.provenance_line()
+        tracemalloc.start()
+        try:
+            write_paths_csv(tmp_path / "p.csv", paths, self.config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
         series = VolatilitySeries(dates=(date(2020, 1, 1),), values=[1.0], kind="STD")
@@ -351,6 +406,33 @@ class TestCli:
         for name in ("std.csv", "ndig_it.csv", "bvix.csv"):
             rows = (outs[0] / name).read_text().splitlines()
             assert len(rows) == 2 + 3, name  # 152 returns, window 150 -> 3 windows
+
+    def test_pipeline_one_window_fails_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        import ndigvol.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("rolling_fit reached")
+
+        monkeypatch.setattr(cli, "rolling_fit", no_fit)
+        prices = synthetic_price_csv(tmp_path / "p.csv", 151)  # 150 returns: one window
+        argv = ["pipeline", "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150"]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["command"] == "pipeline"
+        assert "at least 2 fit windows" in payload["error"] and "got 1" in payload["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_pipeline_normalize_failure_writes_nothing(self, tmp_path, capsys):
+        prices = synthetic_price_csv(tmp_path / "p.csv", 153)
+        # a damping beyond every window's bound: each BVIX window is a gap
+        argv = ["pipeline", "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150", "--damping", "50.0", "--set", "fft_n=2048"]
+        assert main(argv) == 2
+        lines = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+        assert [r["warning"] for r in lines[:-1]] == ["bvix_window_skipped"] * 3
+        assert lines[-1]["error"] == "need at least 2 values to normalize"
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_rate_file(self, tmp_path, capsys):
         prices = synthetic_price_csv(tmp_path / "p.csv", 153)
