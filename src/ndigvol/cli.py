@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import CfQuadrature, RollingFitSeries, fit, rolling_fit
+from .estimate import RollingFitSeries, fit, rolling_fit
 from .io import (
     PriceSeries,
     RunConfig,
@@ -96,10 +96,6 @@ def _params(config: RunConfig) -> NDIGParams:
     )
 
 
-def _quadrature(config: RunConfig) -> CfQuadrature:
-    return CfQuadrature(v_max=config.cf_v_max, n_nodes=config.cf_nodes)
-
-
 def _grid(config: RunConfig) -> FFTGridConfig:
     return FFTGridConfig(n=config.fft_n, damping=config.damping, dv=config.fft_dv)
 
@@ -139,12 +135,7 @@ def _bvix(prices: PriceSeries, rolling: RollingFitSeries, rates, config: RunConf
 
 
 def _rolling(prices: PriceSeries, config: RunConfig) -> RollingFitSeries:
-    return rolling_fit(
-        returns_from_prices(prices),
-        window=config.window,
-        step=config.step,
-        quadrature=_quadrature(config),
-    )
+    return rolling_fit(returns_from_prices(prices), window=config.window, step=config.step)
 
 
 def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> list[Path]:
@@ -159,7 +150,7 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
     if command == "fit":
         prices = _require_input(args)
         returns = returns_from_prices(prices)
-        result = fit(returns, _quadrature(config))
+        result = fit(returns)
         rolling = RollingFitSeries(
             window_end_dates=(returns.dates[-1],), results=(result,),
             window_length=len(returns),
@@ -208,6 +199,8 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
         prices = _require_input(args)
         rates = _rates(config)
         returns = returns_from_prices(prices)
+        if config.step < 1:
+            raise ValueError(f"step must be at least 1, got {config.step}")
         n_windows = len(range(0, len(returns) - config.window + 1, config.step))
         if n_windows < 2:
             raise ValueError(f"pipeline needs at least 2 fit windows to normalize, got {n_windows}")

@@ -5,13 +5,8 @@ characteristic-function distance:
 
     obj = dM1^2 + dM2^2 + dM3^2 + dM4^2 + dCF^2,   dMk = 1 - model_k / sample_k,
 
-where dCF^2 is a Gaussian-weighted quadrature of |ecf(v) - chf(v)|^2.  The
-weight exp(-v^2) tames the noise-dominated large-|v| region of the ecf,
-following the weighted-distance approach of the ecf estimation literature.
-The integrand is even in v (ecf and chf are both Hermitian), so the
-symmetric trapezoid grid is folded onto its v >= 0 half and the nodes of
-negligible weight are dropped: the default 101-node grid is evaluated on 16
-nodes (see ``CfQuadrature.folded_nodes_and_weights``).  Both model and
+where dCF^2 is a Gaussian-weighted quadrature of |ecf(v) - chf(v)|^2 on a
+fixed grid of 16 nodes (``ECF_NODES``, ``ECF_WEIGHTS``).  Both model and
 sample moments are read at the unit (daily) horizon.
 
 The fit estimates the five parameters of ``NDIGParams``.  For a given
@@ -37,7 +32,6 @@ from .model import MomentSet, NDIGParams, _excludes_w1, chf, cumulants
 
 __all__ = [
     "ReturnSeries",
-    "CfQuadrature",
     "FitResult",
     "RollingFitSeries",
     "empirical_moments",
@@ -65,6 +59,32 @@ BRENT_XATOL = 1e-5
 BRENT_MAX_EVALS = 500
 
 
+def _ecf_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ecf distance, the integral of |ecf(v) - chf(v)|^2 exp(-v^2) dv.
+
+    The weight tames the noise-dominated large-|v| region of the ecf
+    (Feuerverger & McDunnough 1981).  The trapezoid rule runs on 101 nodes
+    over [-20, 20]; the weight is below 1e-10 beyond |v| = 5, so the span is
+    conservative.  The integrand is even in v (ecf and chf are both
+    Hermitian), so the grid is folded onto v >= 0 by index, not by float
+    equality of the nodes: node k mirrors node 100 - k, each v > 0 node
+    carries its own weight and its mirror's, and v = 0 keeps its single
+    weight.  Node pairs whose grid weight is below ``NODE_WEIGHT_FLOOR``
+    times the largest are dropped, which leaves 16 nodes.  Since
+    |ecf - chf| <= 2, folding and pruning change dCF^2 by at most
+    4 * sum(dropped grid weights) in absolute terms, beyond rounding.
+    """
+    v = np.linspace(-20.0, 20.0, 101)
+    w = np.full(101, v[1] - v[0])
+    w[[0, -1]] *= 0.5
+    w *= np.exp(-v * v)
+    keep = w[50:] >= NODE_WEIGHT_FLOOR * w.max()
+    return v[50:][keep], np.concatenate(([w[50]], 2.0 * w[51:]))[keep]
+
+
+ECF_NODES, ECF_WEIGHTS = _ecf_grid()
+
+
 @dataclass(frozen=True)
 class ReturnSeries:
     """Dated daily log-returns r_t = ln(P_t / P_{t-1})."""
@@ -90,54 +110,6 @@ class ReturnSeries:
             dates=self.dates[start : start + length],
             returns=self.returns[start : start + length],
         )
-
-
-@dataclass(frozen=True)
-class CfQuadrature:
-    """Trapezoid grid and weight for the ecf-distance term.
-
-    The infinite integral is truncated to [-v_max, v_max] and weighted by
-    exp(-v^2); by +-5 the weight is below 1e-10, so the default span is
-    conservative.
-    """
-
-    v_max: float = 20.0
-    n_nodes: int = 101
-
-    def __post_init__(self) -> None:
-        # the fold pairs node k with node n_nodes - 1 - k on an ascending grid
-        if not self.v_max > 0.0:
-            raise ValueError(f"cf_v_max must be positive, got {self.v_max}")
-        if self.n_nodes < 2:
-            raise ValueError(f"cf_nodes must be at least 2, got {self.n_nodes}")
-
-    def nodes_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        v = np.linspace(-self.v_max, self.v_max, self.n_nodes)
-        dv = np.full(self.n_nodes, v[1] - v[0])
-        dv[0] *= 0.5
-        dv[-1] *= 0.5
-        return v, dv * np.exp(-v * v)
-
-    def folded_nodes_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The grid folded onto v >= 0 and pruned, for integrands even in v.
-
-        Node k mirrors node n_nodes - 1 - k by construction, so the fold is
-        by index rather than by float equality of the nodes: each v > 0 node
-        carries its own weight and its mirror's (twice its weight), and the
-        v = 0 node of an odd grid keeps its single weight.  Node pairs whose
-        grid weight is below ``NODE_WEIGHT_FLOOR`` times the largest grid
-        weight are dropped.  Since |ecf - chf| <= 2, folding and pruning
-        change dCF^2 by at most 4 * sum(dropped grid weights) in absolute
-        terms, beyond rounding.
-        """
-        v, w = self.nodes_and_weights()
-        half = self.n_nodes // 2
-        v_half, w_half = v[half:], w[half:]
-        folded = 2.0 * w_half
-        if self.n_nodes % 2:
-            folded[0] = w_half[0]
-        keep = w_half >= NODE_WEIGHT_FLOOR * w.max()
-        return v_half[keep], folded[keep]
 
 
 @dataclass(frozen=True)
@@ -248,18 +220,16 @@ def _match_moments(b: float, b_edge: float, skew: float,
 class _PreparedObjective:
     """Per-series precomputation shared across objective evaluations.
 
-    ``terms`` reads the sample moments ``emp`` and the ecf ``ecf`` at the
-    folded nodes ``v`` with weights ``weights``; it builds no intermediate
-    moment or interval objects.
+    ``terms`` reads the sample moments ``emp`` and the ecf ``ecf`` at
+    ``ECF_NODES``; it builds no intermediate moment or interval objects.
     """
 
-    def __init__(self, series: ReturnSeries, quadrature: CfQuadrature):
+    def __init__(self, series: ReturnSeries):
         self.emp = empirical_moments(series)
         for name in ("mean", "variance", "skewness", "kurtosis"):
             if getattr(self.emp, name) == 0.0:
                 raise ValueError(f"degenerate return series: zero sample {name}")
-        self.v, self.weights = quadrature.folded_nodes_and_weights()
-        self.ecf = np.asarray(empirical_chf(series, self.v))
+        self.ecf = np.asarray(empirical_chf(series, ECF_NODES))
 
     @property
     def b_edge(self) -> float:
@@ -275,8 +245,8 @@ class _PreparedObjective:
         dm2 = 1.0 - k2 / emp.variance
         dm3 = 1.0 - k3 / k2**1.5 / emp.skewness
         dm4 = 1.0 - (k4 / k2**2 + 3.0) / emp.kurtosis
-        diff = self.ecf - chf(self.v, p)
-        dcf2 = float(np.dot(self.weights, diff.real**2 + diff.imag**2))
+        diff = self.ecf - chf(ECF_NODES, p)
+        dcf2 = float(np.dot(ECF_WEIGHTS, diff.real**2 + diff.imag**2))
         return dm1 * dm1, dm2 * dm2, dm3 * dm3, dm4 * dm4, dcf2
 
     def value(self, p: NDIGParams) -> float:
@@ -372,11 +342,9 @@ def _bounded_brent(func, a: float, b: float) -> None:
         tol2 = 2.0 * tol1
 
 
-def objective(
-    p: NDIGParams, series: ReturnSeries, quadrature: CfQuadrature | None = None
-) -> FitResult:
+def objective(p: NDIGParams, series: ReturnSeries) -> FitResult:
     """Evaluate the five-term objective at fixed parameters (no optimization)."""
-    prep = _PreparedObjective(series, quadrature or CfQuadrature())
+    prep = _PreparedObjective(series)
     terms = prep.terms(p)
     return FitResult(
         params=p,
@@ -387,7 +355,7 @@ def objective(
     )
 
 
-def fit(series: ReturnSeries, quadrature: CfQuadrature | None = None) -> FitResult:
+def fit(series: ReturnSeries) -> FitResult:
     """Fit the five NDIG parameters (mu3, sigma3, rho, lambda_t, lambda_u).
 
     Profiles the objective over z = logit(b / b_edge), b = 1/lambda_t, whose
@@ -402,7 +370,7 @@ def fit(series: ReturnSeries, quadrature: CfQuadrature | None = None) -> FitResu
     """
     if len(series) < MIN_LENGTH:
         raise ValueError(f"series length {len(series)} below floor {MIN_LENGTH}")
-    prep = _PreparedObjective(series, quadrature or CfQuadrature())
+    prep = _PreparedObjective(series)
     evaluated: list[tuple[float, NDIGParams | None]] = []
 
     def profile(z: float) -> float:
@@ -437,18 +405,15 @@ def fit(series: ReturnSeries, quadrature: CfQuadrature | None = None) -> FitResu
     )
 
 
-def rolling_fit(
-    series: ReturnSeries,
-    window: int = 1008,
-    step: int = 1,
-    quadrature: CfQuadrature | None = None,
-) -> RollingFitSeries:
+def rolling_fit(series: ReturnSeries, window: int = 1008, step: int = 1) -> RollingFitSeries:
     """``fit`` of each length-``window`` moving window, every ``step`` returns."""
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
     if len(series) < window:
         raise ValueError(f"series length {len(series)} shorter than window {window}")
     starts = range(0, len(series) - window + 1, step)
     return RollingFitSeries(
         window_end_dates=tuple(series.dates[start + window - 1] for start in starts),
-        results=tuple(fit(series.window(start, window), quadrature) for start in starts),
+        results=tuple(fit(series.window(start, window)) for start in starts),
         window_length=window,
     )

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .estimate import CfQuadrature, ReturnSeries, RollingFitSeries
+from .estimate import ReturnSeries, RollingFitSeries
 from .pricing import FFTGridConfig, OptionChain
 from .simulate import PathSet
 from .volindex import BvixConfig, VolatilitySeries
@@ -85,8 +85,6 @@ class RunConfig:
     strike_lo: float = BvixConfig.strike_lo
     strike_hi: float = BvixConfig.strike_hi
     n_strikes: int = BvixConfig.n_strikes
-    cf_v_max: float = CfQuadrature.v_max
-    cf_nodes: int = CfQuadrature.n_nodes
     seed: int = 0
     rate: float = 0.02
     rate_file: str | None = None

@@ -10,7 +10,6 @@ import pytest
 from conftest import random_params
 from oracles import evaluated_points, scipy_bounded
 from ndigvol import (
-    CfQuadrature,
     NDIGParams,
     ReturnSeries,
     chf,
@@ -26,6 +25,8 @@ from ndigvol import (
 )
 import ndigvol.estimate as estimate
 from ndigvol.estimate import (
+    ECF_NODES,
+    ECF_WEIGHTS,
     FEASIBILITY_PENALTY,
     LAMBDA_CAP,
     NODE_WEIGHT_FLOOR,
@@ -150,36 +151,27 @@ class TestObjective:
         s = simulated_series(btc_params, 2000, seed=3)
         from ndigvol.estimate import _PreparedObjective
 
-        prep = _PreparedObjective(s, CfQuadrature())
+        prep = _PreparedObjective(s)
         bad = NDIGParams(mu3=0.0, sigma3=1.0, rho=0.0, lambda_t=5.0, lambda_u=0.01)
         assert prep.value(bad) > 1e6
 
 
 class TestFoldedQuadrature:
-    @pytest.mark.parametrize("kwargs", [{"v_max": 0.0}, {"v_max": -20.0}, {"n_nodes": 1}])
-    def test_degenerate_grid_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="cf_"):
-            CfQuadrature(**kwargs)
-
     def test_default_grid_keeps_sixteen_nodes(self):
-        v, w = CfQuadrature().folded_nodes_and_weights()
-        assert len(v) == 16
-        assert v[0] == 0.0
-        assert np.all(np.diff(v) > 0.0)
-        assert np.all(w > 0.0)
+        assert len(ECF_NODES) == len(ECF_WEIGHTS) == 16
+        assert ECF_NODES[0] == 0.0
+        assert np.all(np.diff(ECF_NODES) > 0.0)
+        assert np.all(ECF_WEIGHTS > 0.0)
 
-    @pytest.mark.parametrize(
-        "n_nodes, v_max",
-        [(101, 20.0), (100, 20.0), (51, 7.3), (64, 12.5), (33, 6.1), (150, 17.7), (9, 3.0)],
-    )
-    def test_folded_sum_matches_full_trapezoid(self, btc_params, n_nodes, v_max):
+    def test_folded_sum_matches_full_trapezoid(self, btc_params):
         # |ecf - chf|^2 <= 4, so the pruned nodes move dCF^2 by at most
         # 4 * sum(dropped grid weights); the rest is rounding
-        quad = CfQuadrature(v_max=v_max, n_nodes=n_nodes)
+        v = np.linspace(-20.0, 20.0, 101)
+        w = np.full(101, v[1] - v[0]) * np.exp(-v * v)
+        w[[0, -1]] *= 0.5
         s = simulated_series(btc_params, 1008, seed=21)
-        v, w = quad.nodes_and_weights()
         dropped = w[w < NODE_WEIGHT_FLOOR * w.max()].sum()
-        prep = _PreparedObjective(s, quad)
+        prep = _PreparedObjective(s)
         for p in (btc_params, replace(btc_params, sigma3=0.08, rho=0.01, lambda_u=0.5)):
             diff = empirical_chf(s, v) - chf(v, p)
             brute = float(np.sum(w * np.abs(diff) ** 2))
@@ -213,7 +205,7 @@ class TestFeasibilityClosedForm:
         assert all(_excludes_w1(p) for p in W1_BOUNDARY)
 
     def test_value_adds_penalty_exactly_when_w1_excluded(self, btc_params):
-        prep = _PreparedObjective(simulated_series(btc_params, 2000, seed=3), CfQuadrature())
+        prep = _PreparedObjective(simulated_series(btc_params, 2000, seed=3))
         rng = np.random.default_rng(7)
         draws = [random_params(rng) for _ in range(300)] + NEAR_W1_BOUNDARY
         for p in draws:
@@ -275,7 +267,7 @@ class TestProfileFit:
         # _k34 is model.cumulants at gamma = 0 in units of the variance, and
         # b_edge is where it matches the sample at a = 0
         rng = np.random.default_rng(2024)
-        prep = _PreparedObjective(make_series(rng.normal(0.0, 0.05, 200)), CfQuadrature())
+        prep = _PreparedObjective(make_series(rng.normal(0.0, 0.05, 200)))
         n_edges = 0
         for _ in range(2000):
             p = random_params(rng)
@@ -310,7 +302,7 @@ class TestProfileFit:
     def test_matched_points_zero_the_moment_terms(self, btc_params):
         # across the whole profile, from lambda_t = LAMBDA_CAP to the edge
         s = simulated_series(btc_params, 2000, seed=9)
-        prep = _PreparedObjective(s, CfQuadrature())
+        prep = _PreparedObjective(s)
         z_cap = math.log(prep.b_edge * LAMBDA_CAP - 1.0)
         assert prep.matched(-z_cap).lambda_t == pytest.approx(LAMBDA_CAP, rel=1e-12)
         for z in np.linspace(-z_cap, z_cap, 25):
@@ -323,7 +315,7 @@ class TestProfileFit:
         # with b_edge * LAMBDA_CAP in (1, 2) the cap's z is negative; the
         # scan must still run from low to high z for the bounded search
         s = simulated_series(btc_params, 2000, seed=9)
-        b_edge = _PreparedObjective(s, CfQuadrature()).b_edge
+        b_edge = _PreparedObjective(s).b_edge
         monkeypatch.setattr(estimate, "LAMBDA_CAP", 1.5 / b_edge)
         res = fit(s)
         assert res.converged
@@ -438,8 +430,8 @@ def test_objective_is_zero_when_model_matches_sample(btc_params):
     # force the prepared sample statistics to the model's own values: every
     # term of the objective must then vanish identically
     s = simulated_series(btc_params, 500, seed=13)
-    prep = _PreparedObjective(s, CfQuadrature())
+    prep = _PreparedObjective(s)
     prep.emp = moments(btc_params)
-    prep.ecf = np.asarray(chf(prep.v, btc_params))
+    prep.ecf = np.asarray(chf(ECF_NODES, btc_params))
     terms = prep.terms(btc_params)
     assert terms == (0.0, 0.0, 0.0, 0.0, 0.0)

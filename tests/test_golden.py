@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from golden.regen import CASES, EXPECTED, run_case
+from golden.regen import CASES, CLOSES, EXPECTED, run_case
+from ndigvol import ndig_it_series, rolling_fit, rolling_std_vol
+from ndigvol.io import load_prices, returns_from_prices
 
 REL = 1e-12
 
@@ -54,3 +57,14 @@ def test_command_matches_golden(case, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert_same_csv(tmp_path / name, want_dir / name)
+
+
+def test_it_vol_equals_std_by_construction():
+    # every window, matched or Gaussian limit, fits the sample's n - 1
+    # variance exactly, and rolling STD is that same variance
+    returns = returns_from_prices(load_prices(CLOSES))
+    it_vol = ndig_it_series(rolling_fit(returns, window=1008))
+    std = rolling_std_vol(returns, window=1008)
+    assert it_vol.dates == std.dates
+    assert len(std.dates) == 22
+    assert np.max(np.abs(it_vol.values / std.values - 1.0)) <= 1e-14

@@ -140,9 +140,14 @@ class TestConfig:
         assert cfg.seed == 9
         assert cfg.rate == 0.01
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            config_from_mapping({"not_a_key": "1"})
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        for key in ("not_a_key", "cf_nodes"):  # cf_nodes: the ecf grid is fixed
+            with pytest.raises(ValueError, match="unknown config key"):
+                config_from_mapping({key: "1"})
+        assert main(["simulate", "--output-dir", str(tmp_path), "--set", "cf_nodes=51"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "unknown config key 'cf_nodes'"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key, text, kind", [("n_paths", "1e4", "int"), ("sigma3", "abc", "float")])
     def test_bad_value_names_its_key(self, key, text, kind):
@@ -159,7 +164,7 @@ class TestConfig:
 
     def test_default_hash_pinned(self):
         # the defaults' provenance hash; a change here changes every output's first line
-        assert RunConfig().config_hash() == "484445c9e2c7"
+        assert RunConfig().config_hash() == "b1fe786e9dee"
 
 
 # floats whose text is easy to get wrong: exponent forms, signed zero, the
@@ -406,6 +411,17 @@ class TestCli:
         for name in ("std.csv", "ndig_it.csv", "bvix.csv"):
             rows = (outs[0] / name).read_text().splitlines()
             assert len(rows) == 2 + 3, name  # 152 returns, window 150 -> 3 windows
+
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["rollfit", "itvol", "bvix", "pipeline"])
+    def test_step_below_one_rejected(self, tmp_path, capsys, command, step):
+        prices = synthetic_price_csv(tmp_path / "p.csv", 160)
+        argv = [command, "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150", "--set", f"step={step}"]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"step must be at least 1, got {step}"
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_one_window_fails_before_the_fit(self, tmp_path, capsys, monkeypatch):
         import ndigvol.cli as cli
