@@ -79,7 +79,9 @@ def _ecf_grid() -> tuple[np.ndarray, np.ndarray]:
     w[[0, -1]] *= 0.5
     w *= np.exp(-v * v)
     keep = w[50:] >= NODE_WEIGHT_FLOOR * w.max()
-    return v[50:][keep], np.concatenate(([w[50]], 2.0 * w[51:]))[keep]
+    nodes, weights = v[50:][keep], np.concatenate(([w[50]], 2.0 * w[51:]))[keep]
+    nodes.flags.writeable = weights.flags.writeable = False  # module constants
+    return nodes, weights
 
 
 ECF_NODES, ECF_WEIGHTS = _ecf_grid()
