@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import RollingFitSeries, fit, rolling_fit
+from .estimate import RollingFitSeries, rolling_fit
 from .io import (
     PriceSeries,
     RunConfig,
@@ -148,14 +148,9 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
         written.append(path)
 
     if command == "fit":
-        prices = _require_input(args)
-        returns = returns_from_prices(prices)
-        result = fit(returns)
-        rolling = RollingFitSeries(
-            window_end_dates=(returns.dates[-1],), results=(result,),
-            window_length=len(returns),
-        )
-        emit("fit_params.csv", write_rolling_fit_csv, rolling)
+        returns = returns_from_prices(_require_input(args))
+        # one window spanning the series
+        emit("fit_params.csv", write_rolling_fit_csv, rolling_fit(returns, window=len(returns)))
 
     elif command == "rollfit":
         prices = _require_input(args)

@@ -107,12 +107,6 @@ class ReturnSeries:
     def __len__(self) -> int:
         return len(self.returns)
 
-    def window(self, start: int, length: int) -> "ReturnSeries":
-        return ReturnSeries(
-            dates=self.dates[start : start + length],
-            returns=self.returns[start : start + length],
-        )
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -139,7 +133,11 @@ def empirical_moments(series: ReturnSeries) -> MomentSet:
     Raises on series shorter than 4 observations or with zero variance
     (degenerate: the moment-ratio objective would divide by zero).
     """
-    r = series.returns
+    return _moments(series.returns)
+
+
+def _moments(r: np.ndarray) -> MomentSet:
+    """``empirical_moments`` of the returns r, in two passes (mean, then centred powers)."""
     n = len(r)
     if n < 4:
         raise ValueError(f"need at least 4 returns, got {n}")
@@ -161,10 +159,7 @@ def empirical_moments(series: ReturnSeries) -> MomentSet:
 def empirical_chf(series: ReturnSeries, v) -> complex | np.ndarray:
     """Sample average of exp(i * v * r_j); vectorized over v."""
     v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    out = np.empty(len(v_arr), dtype=complex)
-    r = series.returns
-    for i, vi in enumerate(v_arr):
-        out[i] = np.exp(1j * vi * r).mean()
+    out = np.exp(1j * np.multiply.outer(v_arr, series.returns)).mean(axis=1)
     return out if np.ndim(v) else complex(out[0])
 
 
@@ -219,61 +214,55 @@ def _match_moments(b: float, b_edge: float, skew: float,
     return None
 
 
-class _PreparedObjective:
-    """Per-series precomputation shared across objective evaluations.
+def _checked_moments(r: np.ndarray) -> MomentSet:
+    """``_moments`` of r; the objective divides by each of the four, so none may be zero."""
+    emp = _moments(r)
+    for name in ("mean", "variance", "skewness", "kurtosis"):
+        if getattr(emp, name) == 0.0:
+            raise ValueError(f"degenerate return series: zero sample {name}")
+    return emp
 
-    ``terms`` reads the sample moments ``emp`` and the ecf ``ecf`` at
-    ``ECF_NODES``; it builds no intermediate moment or interval objects.
-    """
 
-    def __init__(self, series: ReturnSeries):
-        self.emp = empirical_moments(series)
-        for name in ("mean", "variance", "skewness", "kurtosis"):
-            if getattr(self.emp, name) == 0.0:
-                raise ValueError(f"degenerate return series: zero sample {name}")
-        self.ecf = np.asarray(empirical_chf(series, ECF_NODES))
+def _b_edge(emp: MomentSet) -> float:
+    """Largest matchable b = 1/lambda_t: at a = 0 ``_k34`` gives k3 = 3rb
+    and k4 = 12 r^2 b^2 + 3b, so matching both needs k4 = 4 skew^2 / 3 + 3b."""
+    return (emp.kurtosis - 3.0 - 4.0 * emp.skewness**2 / 3.0) / 3.0
 
-    @property
-    def b_edge(self) -> float:
-        """Largest matchable b = 1/lambda_t: at a = 0 ``_k34`` gives k3 = 3rb
-        and k4 = 12 r^2 b^2 + 3b, so matching both needs k4 = 4 skew^2 / 3 + 3b."""
-        return (self.emp.kurtosis - 3.0 - 4.0 * self.emp.skewness**2 / 3.0) / 3.0
 
-    def terms(self, p: NDIGParams) -> tuple[float, float, float, float, float]:
-        # the standardization is that of model.moments, term for term
-        k1, k2, k3, k4 = cumulants(p)
-        emp = self.emp
-        dm1 = 1.0 - k1 / emp.mean
-        dm2 = 1.0 - k2 / emp.variance
-        dm3 = 1.0 - k3 / k2**1.5 / emp.skewness
-        dm4 = 1.0 - (k4 / k2**2 + 3.0) / emp.kurtosis
-        diff = self.ecf - chf(ECF_NODES, p)
-        dcf2 = float(np.dot(ECF_WEIGHTS, diff.real**2 + diff.imag**2))
-        return dm1 * dm1, dm2 * dm2, dm3 * dm3, dm4 * dm4, dcf2
+def _terms(p: NDIGParams, emp: MomentSet,
+           ecf: np.ndarray) -> tuple[float, float, float, float, float]:
+    """The five squared terms at p, against sample moments ``emp`` and the ecf at ``ECF_NODES``."""
+    # the standardization is that of model.moments, term for term
+    k1, k2, k3, k4 = cumulants(p)
+    dm1 = 1.0 - k1 / emp.mean
+    dm2 = 1.0 - k2 / emp.variance
+    dm3 = 1.0 - k3 / k2**1.5 / emp.skewness
+    dm4 = 1.0 - (k4 / k2**2 + 3.0) / emp.kurtosis
+    diff = ecf - chf(ECF_NODES, p)
+    dcf2 = float(np.dot(ECF_WEIGHTS, diff.real**2 + diff.imag**2))
+    return dm1 * dm1, dm2 * dm2, dm3 * dm3, dm4 * dm4, dcf2
 
-    def value(self, p: NDIGParams) -> float:
-        val = sum(self.terms(p))
-        if _excludes_w1(p):
-            val += FEASIBILITY_PENALTY
-        return val
 
-    def matched(self, z: float) -> NDIGParams | None:
-        """The moment-matched parameters at b = b_edge / (1 + exp(-z)), or None."""
-        b_edge = self.b_edge
-        b = b_edge / (1.0 + math.exp(-z))
-        root = _match_moments(b, b_edge, self.emp.skewness, self.emp.kurtosis - 3.0)
-        if root is None:
-            return None
-        r, a = root
-        var = self.emp.variance
-        rho = r * math.sqrt(var)
-        return NDIGParams(
-            mu3=self.emp.mean - rho,
-            sigma3=math.sqrt(var * (1.0 - r * r * (a + b))),
-            rho=rho,
-            lambda_t=1.0 / b,
-            lambda_u=1.0 / a,
-        )
+def _value(p: NDIGParams, emp: MomentSet, ecf: np.ndarray) -> float:
+    return sum(_terms(p, emp, ecf)) + (FEASIBILITY_PENALTY if _excludes_w1(p) else 0.0)
+
+
+def _matched(z: float, emp: MomentSet) -> NDIGParams | None:
+    """The moment-matched parameters at b = b_edge / (1 + exp(-z)), or None."""
+    b_edge = _b_edge(emp)
+    b = b_edge / (1.0 + math.exp(-z))
+    root = _match_moments(b, b_edge, emp.skewness, emp.kurtosis - 3.0)
+    if root is None:
+        return None
+    r, a = root
+    rho = r * math.sqrt(emp.variance)
+    return NDIGParams(
+        mu3=emp.mean - rho,
+        sigma3=math.sqrt(emp.variance * (1.0 - r * r * (a + b))),
+        rho=rho,
+        lambda_t=1.0 / b,
+        lambda_u=1.0 / a,
+    )
 
 
 def _bounded_brent(func, a: float, b: float) -> None:
@@ -346,8 +335,7 @@ def _bounded_brent(func, a: float, b: float) -> None:
 
 def objective(p: NDIGParams, series: ReturnSeries) -> FitResult:
     """Evaluate the five-term objective at fixed parameters (no optimization)."""
-    prep = _PreparedObjective(series)
-    terms = prep.terms(p)
+    terms = _terms(p, _checked_moments(series.returns), empirical_chf(series, ECF_NODES))
     return FitResult(
         params=p,
         objective_value=float(sum(terms)),
@@ -372,15 +360,20 @@ def fit(series: ReturnSeries) -> FitResult:
     """
     if len(series) < MIN_LENGTH:
         raise ValueError(f"series length {len(series)} below floor {MIN_LENGTH}")
-    prep = _PreparedObjective(series)
+    return _fit(series.returns, empirical_chf(series, ECF_NODES))
+
+
+def _fit(returns: np.ndarray, ecf: np.ndarray) -> FitResult:
+    """``fit`` of the returns ``returns``, whose ecf at ``ECF_NODES`` is ``ecf``."""
+    emp = _checked_moments(returns)
     evaluated: list[tuple[float, NDIGParams | None]] = []
 
     def profile(z: float) -> float:
-        p = prep.matched(z)
-        evaluated.append((UNMATCHED if p is None else prep.value(p), p))
+        p = _matched(z, emp)
+        evaluated.append((UNMATCHED if p is None else _value(p, emp, ecf), p))
         return evaluated[-1][0]
 
-    b_edge = prep.b_edge
+    b_edge = _b_edge(emp)
     if b_edge * LAMBDA_CAP > 1.0:
         # -z_cap and z_cap are the lambda_t = LAMBDA_CAP end and its mirror, in either order
         z_cap = abs(math.log(b_edge * LAMBDA_CAP - 1.0))
@@ -394,14 +387,14 @@ def fit(series: ReturnSeries) -> FitResult:
     converged = params is not None
     if not converged:
         params = NDIGParams(
-            mu3=prep.emp.mean, sigma3=math.sqrt(prep.emp.variance), rho=0.0,
+            mu3=emp.mean, sigma3=math.sqrt(emp.variance), rho=0.0,
             lambda_t=LAMBDA_CAP, lambda_u=LAMBDA_CAP,
         )
-        value = prep.value(params)
+        value = _value(params, emp, ecf)
     return FitResult(
         params=params,
         objective_value=value,
-        term_breakdown=prep.terms(params),
+        term_breakdown=_terms(params, emp, ecf),
         converged=converged,
         evaluations=len(evaluated),
     )
@@ -409,13 +402,18 @@ def fit(series: ReturnSeries) -> FitResult:
 
 def rolling_fit(series: ReturnSeries, window: int = 1008, step: int = 1) -> RollingFitSeries:
     """``fit`` of each length-``window`` moving window, every ``step`` returns."""
+    if window < MIN_LENGTH:
+        raise ValueError(f"window must be at least {MIN_LENGTH} returns, got {window}")
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
     if len(series) < window:
         raise ValueError(f"series length {len(series)} shorter than window {window}")
+    r = series.returns
+    # exp(i v r) once per node and return; a window's ecf is the mean of its columns
+    table = np.exp(1j * np.multiply.outer(ECF_NODES, r))
     starts = range(0, len(series) - window + 1, step)
     return RollingFitSeries(
-        window_end_dates=tuple(series.dates[start + window - 1] for start in starts),
-        results=tuple(fit(series.window(start, window)) for start in starts),
+        window_end_dates=series.dates[window - 1 :: step],
+        results=tuple(_fit(r[s : s + window], table[:, s : s + window].mean(axis=1)) for s in starts),
         window_length=window,
     )

@@ -206,6 +206,8 @@ def rolling_std_vol(
     series: ReturnSeries, window: int = 1008, annualization: float = 252.0
 ) -> VolatilitySeries:
     """Rolling sample standard deviation, annualized, in percent."""
+    if window < 2:
+        raise ValueError(f"window must be at least 2, got {window}")
     n = len(series)
     if n < window:
         raise ValueError(f"series length {n} shorter than window {window}")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params
+from golden.regen import CLOSES
 from oracles import evaluated_points, scipy_bounded
 from ndigvol import (
     NDIGParams,
@@ -24,16 +25,21 @@ from ndigvol import (
     simulate_paths,
 )
 import ndigvol.estimate as estimate
+from ndigvol.io import load_prices, returns_from_prices
 from ndigvol.estimate import (
     ECF_NODES,
     ECF_WEIGHTS,
     FEASIBILITY_PENALTY,
     LAMBDA_CAP,
+    MIN_LENGTH,
     NODE_WEIGHT_FLOOR,
     UNMATCHED,
+    _b_edge,
     _bounded_brent,
     _k34,
-    _PreparedObjective,
+    _matched,
+    _terms,
+    _value,
 )
 from ndigvol.model import _excludes_w1
 
@@ -106,6 +112,11 @@ class TestEmpiricalChf:
         s = make_series(np.random.default_rng(0).normal(0, 0.05, 200))
         assert empirical_chf(s, 2.0) == pytest.approx(np.conj(empirical_chf(s, -2.0)))
 
+    def test_equals_the_mean_at_each_node(self, btc_params):
+        s = simulated_series(btc_params, 1008, seed=21)
+        per_node = np.array([np.exp(1j * v * s.returns).mean() for v in ECF_NODES])
+        assert empirical_chf(s, ECF_NODES).tobytes() == per_node.tobytes()
+
     def test_vectorized(self):
         s = make_series([0.1, -0.1, 0.2, 0.3])
         v = np.array([0.0, 1.0, -1.0])
@@ -149,11 +160,9 @@ class TestObjective:
 
     def test_infeasible_parameters_penalized(self, btc_params):
         s = simulated_series(btc_params, 2000, seed=3)
-        from ndigvol.estimate import _PreparedObjective
-
-        prep = _PreparedObjective(s)
+        emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
         bad = NDIGParams(mu3=0.0, sigma3=1.0, rho=0.0, lambda_t=5.0, lambda_u=0.01)
-        assert prep.value(bad) > 1e6
+        assert _value(bad, emp, ecf) > 1e6
 
 
 class TestFoldedQuadrature:
@@ -171,11 +180,11 @@ class TestFoldedQuadrature:
         w[[0, -1]] *= 0.5
         s = simulated_series(btc_params, 1008, seed=21)
         dropped = w[w < NODE_WEIGHT_FLOOR * w.max()].sum()
-        prep = _PreparedObjective(s)
+        emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
         for p in (btc_params, replace(btc_params, sigma3=0.08, rho=0.01, lambda_u=0.5)):
             diff = empirical_chf(s, v) - chf(v, p)
             brute = float(np.sum(w * np.abs(diff) ** 2))
-            folded = prep.terms(p)[4]
+            folded = _terms(p, emp, ecf)[4]
             assert brute > 0.0
             assert abs(folded - brute) <= 4.0 * dropped + 1e-12 * brute
 
@@ -205,12 +214,13 @@ class TestFeasibilityClosedForm:
         assert all(_excludes_w1(p) for p in W1_BOUNDARY)
 
     def test_value_adds_penalty_exactly_when_w1_excluded(self, btc_params):
-        prep = _PreparedObjective(simulated_series(btc_params, 2000, seed=3))
+        s = simulated_series(btc_params, 2000, seed=3)
+        emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
         rng = np.random.default_rng(7)
         draws = [random_params(rng) for _ in range(300)] + NEAR_W1_BOUNDARY
         for p in draws:
             penalty = FEASIBILITY_PENALTY if feasible_interval(p)[1] <= 1.0 else 0.0
-            assert prep.value(p) == sum(prep.terms(p)) + penalty
+            assert _value(p, emp, ecf) == sum(_terms(p, emp, ecf)) + penalty
 
 
 class TestFit:
@@ -267,7 +277,6 @@ class TestProfileFit:
         # _k34 is model.cumulants at gamma = 0 in units of the variance, and
         # b_edge is where it matches the sample at a = 0
         rng = np.random.default_rng(2024)
-        prep = _PreparedObjective(make_series(rng.normal(0.0, 0.05, 200)))
         n_edges = 0
         for _ in range(2000):
             p = random_params(rng)
@@ -276,14 +285,14 @@ class TestProfileFit:
             got3, got4, _ = _k34(r, 1.0 / p.lambda_u, 1.0 / p.lambda_t)
             assert got3 == pytest.approx(k3 / k2**1.5, rel=1e-14)
             assert got4 == pytest.approx(k4 / k2**2, rel=1e-14)
-            prep.emp = moments(p)
-            b_edge = prep.b_edge
+            emp = moments(p)
+            b_edge = _b_edge(emp)
             if b_edge > 0.0:
                 n_edges += 1
-                skew = prep.emp.skewness
+                skew = emp.skewness
                 edge3, edge4, _ = _k34(skew / (3.0 * b_edge), 0.0, b_edge)
                 assert edge3 == pytest.approx(skew, rel=1e-14)
-                assert edge4 == pytest.approx(prep.emp.kurtosis - 3.0, rel=1e-14)
+                assert edge4 == pytest.approx(emp.kurtosis - 3.0, rel=1e-14)
         assert n_edges > 1000
 
     def test_jacobian_matches_central_differences(self):
@@ -302,20 +311,20 @@ class TestProfileFit:
     def test_matched_points_zero_the_moment_terms(self, btc_params):
         # across the whole profile, from lambda_t = LAMBDA_CAP to the edge
         s = simulated_series(btc_params, 2000, seed=9)
-        prep = _PreparedObjective(s)
-        z_cap = math.log(prep.b_edge * LAMBDA_CAP - 1.0)
-        assert prep.matched(-z_cap).lambda_t == pytest.approx(LAMBDA_CAP, rel=1e-12)
+        emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
+        z_cap = math.log(_b_edge(emp) * LAMBDA_CAP - 1.0)
+        assert _matched(-z_cap, emp).lambda_t == pytest.approx(LAMBDA_CAP, rel=1e-12)
         for z in np.linspace(-z_cap, z_cap, 25):
-            p = prep.matched(float(z))
+            p = _matched(float(z), emp)
             assert p is not None
-            assert max(prep.terms(p)[:4]) < 1e-28
+            assert max(_terms(p, emp, ecf)[:4]) < 1e-28
 
 
     def test_narrow_profile_scans_upward(self, btc_params, monkeypatch):
         # with b_edge * LAMBDA_CAP in (1, 2) the cap's z is negative; the
         # scan must still run from low to high z for the bounded search
         s = simulated_series(btc_params, 2000, seed=9)
-        b_edge = _PreparedObjective(s).b_edge
+        b_edge = _b_edge(empirical_moments(s))
         monkeypatch.setattr(estimate, "LAMBDA_CAP", 1.5 / b_edge)
         res = fit(s)
         assert res.converged
@@ -406,12 +415,26 @@ class TestRollingFit:
         with pytest.raises(ValueError, match="shorter"):
             rolling_fit(s, window=1008)
 
+    def test_window_below_fit_floor_rejected(self, btc_params):
+        s = simulated_series(btc_params, 500, seed=2)
+        for window in (MIN_LENGTH - 1, 50, 0, -5):
+            message = f"window must be at least {MIN_LENGTH} returns, got {window}"
+            with pytest.raises(ValueError, match=message):
+                rolling_fit(s, window=window)
+
     def test_each_window_equals_its_fit(self, btc_params):
-        s = simulated_series(btc_params, 1012, seed=10)
-        roll = rolling_fit(s, window=1008, step=2)
-        assert len(roll.results) == 3
-        for k, result in enumerate(roll.results):
-            assert result == fit(s.window(2 * k, 1008))
+        # each window's ecf comes from one table of the whole series; it must
+        # give the fit of a series built from that window alone, bit for bit
+        cases = (
+            (simulated_series(btc_params, 1012, seed=10), 2, 3),
+            (returns_from_prices(load_prices(CLOSES)), 1, 22),
+        )
+        for s, step, n_windows in cases:
+            roll = rolling_fit(s, window=1008, step=step)
+            assert len(roll.results) == n_windows
+            for k, result in enumerate(roll.results):
+                w = slice(step * k, step * k + 1008)
+                assert result == fit(ReturnSeries(dates=s.dates[w], returns=s.returns[w]))
 
     def test_stationary_series_has_stable_trajectory(self, btc_params):
         # level-trajectory translation of the no-trend property: overlapping
@@ -427,11 +450,7 @@ class TestRollingFit:
 
 
 def test_objective_is_zero_when_model_matches_sample(btc_params):
-    # force the prepared sample statistics to the model's own values: every
-    # term of the objective must then vanish identically
-    s = simulated_series(btc_params, 500, seed=13)
-    prep = _PreparedObjective(s)
-    prep.emp = moments(btc_params)
-    prep.ecf = np.asarray(chf(ECF_NODES, btc_params))
-    terms = prep.terms(btc_params)
+    # give the objective the model's own moments and chf as the sample's:
+    # every term must then vanish identically
+    terms = _terms(btc_params, moments(btc_params), chf(ECF_NODES, btc_params))
     assert terms == (0.0, 0.0, 0.0, 0.0, 0.0)

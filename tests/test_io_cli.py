@@ -278,17 +278,22 @@ class TestWriters:
         )
 
     def test_paths_memory_does_not_grow_with_the_file(self, tmp_path):
-        # 310,000 rows: held as Python objects all at once they take about 31 MB
-        xs = np.random.default_rng(0).standard_normal((10_000, 31))
-        paths = PathSet(np.arange(31.0), xs, seed=4)
+        # Rows held as Python objects all at once take about 100 bytes each.
+        # Streamed, only the writer's numpy path-id and time columns (16 bytes
+        # a row) grow with the file: compare the traced peaks of two lengths.
+        def peak(n_paths: int) -> int:
+            xs = np.random.default_rng(0).standard_normal((n_paths, 4))
+            paths = PathSet(np.arange(4.0), xs, seed=4)
+            tracemalloc.start()
+            try:
+                write_paths_csv(tmp_path / "p.csv", paths, self.config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         self.config.provenance_line()
-        tracemalloc.start()
-        try:
-            write_paths_csv(tmp_path / "p.csv", paths, self.config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        growth = peak(20_000) - peak(5_000)  # 80,000 rows against 20,000
+        assert growth / 60_000 < 48
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
         series = VolatilitySeries(dates=(date(2020, 1, 1),), values=[1.0], kind="STD")
@@ -388,6 +393,16 @@ class TestCli:
         assert len(rows) == 12
         assert rows[1] == "date,kind,value_percent"
         assert rows[2].split(",")[1] == "STD"
+
+    @pytest.mark.parametrize("window", ["1", "0"])
+    def test_histvol_window_below_two_rejected(self, tmp_path, capsys, window):
+        prices = synthetic_price_csv(tmp_path / "p.csv", 60)
+        argv = ["histvol", "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", window]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"window must be at least 2, got {window}"
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_three_windows_and_determinism(self, tmp_path):
         prices = synthetic_price_csv(tmp_path / "p.csv", 153)

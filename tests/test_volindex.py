@@ -233,6 +233,12 @@ class TestRollingStdVol:
         with pytest.raises(ValueError, match="shorter"):
             rolling_std_vol(make_series(np.zeros(100)), window=1008)
 
+    @pytest.mark.parametrize("window", [1, 0])
+    def test_window_below_two_rejected(self, window):
+        # one return has no sample variance (ddof=1), and no return has no window
+        with pytest.raises(ValueError, match=f"window must be at least 2, got {window}"):
+            rolling_std_vol(make_series(np.random.default_rng(0).normal(0, 0.01, 50)), window=window)
+
 
 class TestNdigItVol:
     def test_symmetric_reduces_to_brownian_scale(self):
