@@ -36,6 +36,7 @@ from .pricing import FFTGridConfig, price_surface
 from .simulate import simulate_paths
 from .volindex import (
     BvixConfig,
+    _check_annualization,
     bvix_from_rolling,
     ndig_it_series,
     normalize,
@@ -123,10 +124,10 @@ def _surface_strikes(config: RunConfig) -> np.ndarray:
     )
 
 
-def _bvix(prices: PriceSeries, rolling: RollingFitSeries, rates, config: RunConfig):
+def _bvix(prices: PriceSeries, rolling: RollingFitSeries, rates, config: BvixConfig):
     """BVIX of each fitted window; each skipped window is reported on stderr as JSON."""
     series, gaps = bvix_from_rolling(
-        prices.closes, prices.dates, rolling, rates=rates, config=_bvix_config(config)
+        prices.closes, prices.dates, rolling, rates=rates, config=config
     )
     for day, reason in gaps:
         record = {"warning": "bvix_window_skipped", "date": day.isoformat(), "reason": reason}
@@ -182,17 +183,20 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
 
     elif command == "itvol":
         prices = _require_input(args)
+        _check_annualization(config.annualization)
         series = ndig_it_series(_rolling(prices, config), config.annualization)
         emit("ndig_it.csv", write_volatility_csv, series)
 
     elif command == "bvix":
         prices = _require_input(args)
-        rates = _rates(config)
-        emit("bvix.csv", write_volatility_csv, _bvix(prices, _rolling(prices, config), rates, config))
+        rates, bvix_config = _rates(config), _bvix_config(config)  # a bad band fails before the fit
+        series = _bvix(prices, _rolling(prices, config), rates, bvix_config)
+        emit("bvix.csv", write_volatility_csv, series)
 
     elif command == "pipeline":
         prices = _require_input(args)
-        rates = _rates(config)
+        rates, bvix_config = _rates(config), _bvix_config(config)
+        _check_annualization(config.annualization)
         returns = returns_from_prices(prices)
         if config.step < 1:
             raise ValueError(f"step must be at least 1, got {config.step}")
@@ -203,7 +207,7 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
         series = {
             "std": rolling_std_vol(returns, config.window, config.annualization),
             "ndig_it": ndig_it_series(rolling, config.annualization),
-            "bvix": _bvix(prices, rolling, rates, config),
+            "bvix": _bvix(prices, rolling, rates, bvix_config),
         }
         norms = {name: normalize(s) for name, s in series.items()}  # before any file is written
         emit("rolling_params.csv", write_rolling_fit_csv, rolling)

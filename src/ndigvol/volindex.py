@@ -29,13 +29,11 @@ from .pricing import DAYS_PER_YEAR, FFTGridConfig, _chain
 __all__ = [
     "MINUTES_30D",
     "ExpiryPair",
-    "TermVarianceInputs",
     "VolatilitySeries",
     "BvixConfig",
     "expiry_pair",
     "term_weights",
     "term_variance",
-    "term_inputs_from_chain",
     "bvix",
     "rolling_std_vol",
     "bvix_from_rolling",
@@ -83,40 +81,6 @@ class VolatilitySeries:
             raise ValueError("dates and values must have the same length")
 
 
-@dataclass(frozen=True)
-class TermVarianceInputs:
-    """One term of the variance-swap strip.
-
-    mid_prices hold the out-of-the-money quote at each strike: the put
-    below the threshold strike, the call above it, and the call/put
-    average at the threshold itself (a single quote, per Cboe convention).
-    """
-
-    strikes: np.ndarray
-    mid_prices: np.ndarray
-    forward: float
-    k0: float
-    rate: float
-    term_years: float
-
-    def __post_init__(self) -> None:
-        k = np.asarray(self.strikes, dtype=float)
-        q = np.asarray(self.mid_prices, dtype=float)
-        object.__setattr__(self, "strikes", k)
-        object.__setattr__(self, "mid_prices", q)
-        if len(k) != len(q):
-            raise ValueError("strikes and mid_prices must have the same length")
-        if len(k) < 3:
-            raise ValueError("need at least 3 strikes")
-        if np.any(np.diff(k) <= 0.0):
-            raise ValueError("strikes must be strictly increasing")
-        below = k[k <= self.forward]
-        if len(below) == 0 or below.max() != self.k0:
-            raise ValueError("k0 must be the largest strike at or below the forward")
-        if not self.term_years > 0.0:
-            raise ValueError("term_years must be positive")
-
-
 def expiry_pair(valuation_date: date) -> ExpiryPair:
     """Near/next Friday 16:00 expiries for a 16:00 valuation on the given day."""
     days_to_friday = (_FRIDAY - valuation_date.weekday()) % 7
@@ -145,61 +109,65 @@ def term_weights(pair: ExpiryPair) -> tuple[float, float]:
     return w1, w2
 
 
-def term_variance(inputs: TermVarianceInputs) -> float:
-    """Variance-swap fair value of one term.
-
-    sigma^2 = (2 e^{rT} / T) * sum_i dK_i / K_i^2 * Q(K_i)
-              - (1/T) * (F/K0 - 1)^2
-
-    with centered strike gaps in the interior and one-sided gaps at the
-    ends.  A negative result signals a misconfigured strike grid and
-    raises.
-    """
-    k = inputs.strikes
-    dk = np.empty_like(k)
-    dk[1:-1] = (k[2:] - k[:-2]) / 2.0
-    dk[0] = k[1] - k[0]
-    dk[-1] = k[-1] - k[-2]
-    t = inputs.term_years
-    strip = 2.0 * math.exp(inputs.rate * t) / t * float(np.sum(dk / (k * k) * inputs.mid_prices))
-    var = strip - (inputs.forward / inputs.k0 - 1.0) ** 2 / t
-    if var < 0.0:
-        raise ValueError(f"negative term variance {var}: strike grid misconfigured")
-    return var
-
-
-def term_inputs_from_chain(
+def term_variance(
     strikes: np.ndarray,
     calls: np.ndarray,
     puts: np.ndarray,
     forward: float,
     rate: float,
     term_years: float,
-) -> TermVarianceInputs:
-    """Select the out-of-the-money quote at each strike of a call/put chain."""
-    strikes = np.asarray(strikes, dtype=float)
+) -> float:
+    """Variance-swap fair value of one term of a call/put chain.
+
+    sigma^2 = (2 e^{rT} / T) * sum_i dK_i / K_i^2 * Q(K_i)
+              - (1/T) * (F/K0 - 1)^2
+
+    K0 is the largest strike at or below the forward F.  Q is the
+    out-of-the-money quote: the put below K0, the call above it, and the
+    call/put average at K0 itself (a single quote, per Cboe convention).
+    Strike gaps are centered in the interior and one-sided at the ends.  A
+    negative result signals a misconfigured strike grid and raises.
+    """
+    k = np.asarray(strikes, dtype=float)
     calls = np.asarray(calls, dtype=float)
     puts = np.asarray(puts, dtype=float)
-    below = strikes[strikes <= forward]
+    if not len(k) == len(calls) == len(puts):
+        raise ValueError("strikes, calls and puts must have the same length")
+    if len(k) < 3:
+        raise ValueError("need at least 3 strikes")
+    if np.any(np.diff(k) <= 0.0):
+        raise ValueError("strikes must be strictly increasing")
+    if not term_years > 0.0:
+        raise ValueError("term_years must be positive")
+    below = k[k <= forward]
     if len(below) == 0:
         raise ValueError("no strike at or below the forward")
-    k0 = float(below.max())
-    q = np.where(
-        strikes < k0, puts, np.where(strikes > k0, calls, 0.5 * (calls + puts))
-    )
-    return TermVarianceInputs(
-        strikes=strikes, mid_prices=q, forward=forward, k0=k0, rate=rate,
-        term_years=term_years,
-    )
+    k0 = float(below[-1])
+    q = np.where(k < k0, puts, np.where(k > k0, calls, 0.5 * (calls + puts)))
+    dk = np.empty_like(k)
+    dk[1:-1] = (k[2:] - k[:-2]) / 2.0
+    dk[0] = k[1] - k[0]
+    dk[-1] = k[-1] - k[-2]
+    t = term_years
+    strip = 2.0 * math.exp(rate * t) / t * float(np.sum(dk / (k * k) * q))
+    var = strip - (forward / k0 - 1.0) ** 2 / t
+    if var < 0.0:
+        raise ValueError(f"negative term variance {var}: strike grid misconfigured")
+    return var
 
 
-def bvix(pair: ExpiryPair, near: TermVarianceInputs, nxt: TermVarianceInputs) -> float:
+def bvix(pair: ExpiryPair, near_variance: float, next_variance: float) -> float:
     """100 * sqrt(w1 * sigma1^2 + w2 * sigma2^2), annualized percent."""
     w1, w2 = term_weights(pair)
-    blended = w1 * term_variance(near) + w2 * term_variance(nxt)
+    blended = w1 * near_variance + w2 * next_variance
     if blended < 0.0:
         raise ValueError(f"negative weighted variance {blended}")
     return 100.0 * math.sqrt(blended)
+
+
+def _check_annualization(annualization: float) -> None:
+    if not 0.0 < annualization < math.inf:
+        raise ValueError(f"annualization must be positive, got {annualization}")
 
 
 def rolling_std_vol(
@@ -208,6 +176,7 @@ def rolling_std_vol(
     """Rolling sample standard deviation, annualized, in percent."""
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
+    _check_annualization(annualization)
     n = len(series)
     if n < window:
         raise ValueError(f"series length {n} shorter than window {window}")
@@ -232,6 +201,7 @@ def ndig_it_vol(p: NDIGParams, annualization: float = 252.0) -> float:
     100 * sqrt(Var(X_1) * annualization) with Var(X_1) = sigma3^2 +
     rho^2 (1/lambda_t + 1/lambda_u).
     """
+    _check_annualization(annualization)
     return 100.0 * math.sqrt(moments(p).variance * annualization)
 
 
@@ -277,13 +247,23 @@ class BvixConfig:
     default keeps every term's variance within 5% of a flat surface's
     square across the 23-36 day expiry range.  Narrow it back via config if
     strict comparability with the original band matters more than level
-    accuracy.
+    accuracy.  The band must be finite with 0 < strike_lo < strike_hi, and
+    the strip needs n_strikes >= 3.
     """
 
     strike_lo: float = 0.65
     strike_hi: float = 1.70
     n_strikes: int = 40
     grid: FFTGridConfig = field(default_factory=FFTGridConfig)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.strike_lo < self.strike_hi < math.inf:
+            raise ValueError(
+                "strike band must be finite with 0 < strike_lo < strike_hi, "
+                f"got strike_lo={self.strike_lo}, strike_hi={self.strike_hi}"
+            )
+        if self.n_strikes < 3:
+            raise ValueError(f"n_strikes must be at least 3, got {self.n_strikes}")
 
 
 def _bvix_one(
@@ -298,7 +278,7 @@ def _bvix_one(
     taus = [pair.m_t1 / (1440.0 * DAYS_PER_YEAR), pair.m_t2 / (1440.0 * DAYS_PER_YEAR)]
     calls, puts, _ = _chain(params, spot, rate, strikes, np.array(taus), config.grid)
     near, nxt = (
-        term_inputs_from_chain(strikes, calls[i], puts[i], spot * math.exp(rate * tau), rate, tau)
+        term_variance(strikes, calls[i], puts[i], spot * math.exp(rate * tau), rate, tau)
         for i, tau in enumerate(taus)
     )
     return bvix(pair, near, nxt)
@@ -314,21 +294,28 @@ def bvix_from_rolling(
     """BVIX series from precomputed rolling fits.
 
     ``prices``/``price_dates`` are the close series the fits came from
-    (one more point than the return series).  Returns the series plus a
-    list of (date, reason) gaps for windows whose chain build failed;
-    failures never drop silently.
+    (one more point than the return series) and must have equal lengths.
+    Returns the series plus a list of (date, reason) gaps for windows whose
+    chain build failed; failures never drop silently.
     """
+    prices = np.asarray(prices, dtype=float)
+    if len(prices) != len(price_dates):
+        raise ValueError(
+            f"prices and price_dates differ in length: {len(prices)} and {len(price_dates)}"
+        )
     cfg = config or BvixConfig()
     rate_for = _rate_lookup(rates)
-    date_to_price = dict(zip(price_dates, np.asarray(prices, dtype=float)))
+    date_to_price = dict(zip(price_dates, prices))
     dates_out: list[date] = []
     values: list[float] = []
     gaps: list[tuple[date, str]] = []
     for end_date, result in zip(rolling.window_end_dates, rolling.results):
         try:
-            spot = date_to_price[end_date]
+            spot = date_to_price.get(end_date)
+            if spot is None:
+                raise ValueError(f"no close on {end_date}")
             value = _bvix_one(result.params, spot, end_date, rate_for(end_date), cfg)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             logger.warning("BVIX window ending %s failed: %s", end_date, exc)
             gaps.append((end_date, str(exc)))
             continue

@@ -32,7 +32,7 @@ from ndigvol import (
     risk_neutral_chf,
     rolling_fit,
     simulate_paths,
-    term_inputs_from_chain,
+    term_variance,
 )
 from ndigvol.cli import main as cli_main
 from ndigvol.volindex import (
@@ -263,9 +263,7 @@ def test_c08_vix_mechanics():
                 strikes = np.linspace(0.65 * s0, 1.70 * s0, 40)
                 calls, puts = flat_bsm_chain(s0, r, tau, vol, strikes)
                 terms.append(
-                    term_inputs_from_chain(
-                        strikes, calls, puts, s0 * math.exp(r * tau), r, tau
-                    )
+                    term_variance(strikes, calls, puts, s0 * math.exp(r * tau), r, tau)
                 )
             value = bvix(pair, terms[0], terms[1])
             worst_rec = max(worst_rec, abs(value / (100.0 * vol) - 1.0))

@@ -454,6 +454,54 @@ class TestCli:
         assert "at least 2 fit windows" in payload["error"] and "got 1" in payload["error"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "band, error",
+        [
+            (["strike_lo=-1"], "strike band must be finite with 0 < strike_lo < strike_hi"),
+            (["n_strikes=2"], "n_strikes must be at least 3, got 2"),
+            (["strike_lo=2", "strike_hi=1"], "strike band must be finite with 0 < strike_lo"),
+        ],
+        ids=["negative", "two-strikes", "reversed"],
+    )
+    @pytest.mark.parametrize("command", ["bvix", "pipeline"])
+    def test_bad_strike_band_fails_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, command, band, error
+    ):
+        import ndigvol.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("rolling_fit reached")
+
+        monkeypatch.setattr(cli, "rolling_fit", no_fit)
+        prices = synthetic_price_csv(tmp_path / "p.csv", 160)
+        argv = [command, "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150"]
+        for item in band:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"].startswith(error)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "inf"])
+    @pytest.mark.parametrize("command", ["histvol", "itvol", "pipeline"])
+    def test_bad_annualization_fails_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        import ndigvol.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("rolling_fit reached")
+
+        monkeypatch.setattr(cli, "rolling_fit", no_fit)
+        prices = synthetic_price_csv(tmp_path / "p.csv", 160)
+        argv = [command, "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150", "--annualization", value]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"annualization must be positive, got {float(value)}"
+        assert not (tmp_path / "out").exists()
+
     def test_pipeline_normalize_failure_writes_nothing(self, tmp_path, capsys):
         prices = synthetic_price_csv(tmp_path / "p.csv", 153)
         # a damping beyond every window's bound: each BVIX window is a gap

@@ -19,7 +19,6 @@ from ndigvol import (
     ndig_it_vol,
     normalize,
     rolling_std_vol,
-    term_inputs_from_chain,
     term_variance,
     term_weights,
 )
@@ -114,50 +113,53 @@ class TestTermWeights:
 
 
 class TestTermVariance:
-    def _flat_inputs(self, vol=0.5, tau=24 / 365, s=100.0, r=0.02, n=40):
+    def _flat_chain(self, vol=0.5, tau=24 / 365, s=100.0, r=0.02, n=40):
+        """(strikes, calls, puts, forward, rate, term_years) of a flat-vol chain."""
         strikes = np.linspace(0.65 * s, 1.70 * s, n)
         calls, puts = flat_bsm_chain(s, r, tau, vol, strikes)
-        return term_inputs_from_chain(strikes, calls, puts, s * math.exp(r * tau), r, tau)
+        return strikes, calls, puts, s * math.exp(r * tau), r, tau
 
     def test_forward_on_threshold_kills_correction(self):
-        inputs = self._flat_inputs()
-        shifted = term_inputs_from_chain(
-            inputs.strikes, inputs.mid_prices, inputs.mid_prices, float(inputs.k0),
-            inputs.rate, inputs.term_years,
-        )
+        k, calls, puts, _, r, t = self._flat_chain()
         # with forward == k0 the correction term vanishes; only the strip remains
-        assert shifted.k0 == shifted.forward
+        q = np.concatenate((puts[:14], [0.5 * (calls[14] + puts[14])], calls[15:]))
+        dk = np.concatenate(([k[1] - k[0]], (k[2:] - k[:-2]) / 2.0, [k[-1] - k[-2]]))
+        strip = 2.0 * math.exp(r * t) / t * float(np.sum(dk / (k * k) * q))
+        assert term_variance(k, calls, puts, float(k[14]), r, t) == pytest.approx(strip, rel=1e-12)
 
     def test_flat_chain_recovers_variance(self):
         for vol in (0.2, 0.5, 1.0):
             for tau in (24 / 365, 31 / 365, 36 / 365):
-                inputs = self._flat_inputs(vol=vol, tau=tau)
-                assert term_variance(inputs) == pytest.approx(vol * vol, rel=0.05)
+                chain = self._flat_chain(vol=vol, tau=tau)
+                assert term_variance(*chain) == pytest.approx(vol * vol, rel=0.05)
 
     def test_doubling_quotes_doubles_strip(self):
-        inputs = self._flat_inputs()
-        doubled = term_inputs_from_chain(
-            inputs.strikes, 2 * inputs.mid_prices, 2 * inputs.mid_prices,
-            inputs.forward, inputs.rate, inputs.term_years,
-        )
-        t = inputs.term_years
-        corr = (inputs.forward / inputs.k0 - 1.0) ** 2 / t
-        strip = term_variance(inputs) + corr
-        strip2 = term_variance(doubled) + corr
+        strikes, calls, puts, forward, r, t = self._flat_chain()
+        k0 = strikes[strikes <= forward].max()
+        corr = (forward / k0 - 1.0) ** 2 / t
+        strip = term_variance(strikes, calls, puts, forward, r, t) + corr
+        strip2 = term_variance(strikes, 2 * calls, 2 * puts, forward, r, t) + corr
         assert strip2 == pytest.approx(2.0 * strip, rel=1e-12)
 
     def test_negative_variance_rejected(self):
         strikes = np.array([90.0, 100.0, 110.0])
         tiny = np.array([1e-12, 1e-12, 1e-12])
-        inputs = term_inputs_from_chain(strikes, tiny, tiny, 100.5, 0.05, 30 / 365)
         with pytest.raises(ValueError, match="negative term variance"):
-            term_variance(inputs)
+            term_variance(strikes, tiny, tiny, 100.5, 0.05, 30 / 365)
 
     def test_strike_grid_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            term_inputs_from_chain(
-                np.array([100.0, 90.0, 110.0]), np.ones(3), np.ones(3), 100.0, 0.0, 0.1
-            )
+        k, ones = np.array([90.0, 100.0, 110.0]), np.ones(3)
+        cases = [  # (strikes, calls, puts, forward, term_years), message
+            ((k, ones, np.ones(2), 100.0, 0.1), "must have the same length"),
+            ((k[:2], ones[:2], ones[:2], 100.0, 0.1), "at least 3 strikes"),
+            ((np.array([100.0, 90.0, 110.0]), ones, ones, 100.0, 0.1), "increasing"),
+            ((k, ones, ones, 89.0, 0.1), "no strike at or below the forward"),
+            ((k, ones, ones, 100.0, 0.0), "term_years must be positive"),
+            ((k, ones, ones, 100.0, -0.1), "term_years must be positive"),
+        ]
+        for (strikes, calls, puts, forward, term_years), message in cases:
+            with pytest.raises(ValueError, match=message):
+                term_variance(strikes, calls, puts, forward, 0.0, term_years)
 
 
 class TestBvix:
@@ -165,11 +167,10 @@ class TestBvix:
         pair = pair_with_minutes(25 * 1440.0, 32 * 1440.0)
         strikes = np.linspace(65.0, 170.0, 40)
         calls, puts = flat_bsm_chain(100.0, 0.0, 25 / 365, 0.5, strikes)
-        near = term_inputs_from_chain(strikes, calls, puts, 100.0, 0.0, 25 / 365)
+        v1 = term_variance(strikes, calls, puts, 100.0, 0.0, 25 / 365)
         calls2, puts2 = flat_bsm_chain(100.0, 0.0, 32 / 365, 0.5, strikes)
-        nxt = term_inputs_from_chain(strikes, calls2, puts2, 100.0, 0.0, 32 / 365)
-        v1, v2 = term_variance(near), term_variance(nxt)
-        value = bvix(pair, near, nxt)
+        v2 = term_variance(strikes, calls2, puts2, 100.0, 0.0, 32 / 365)
+        value = bvix(pair, v1, v2)
         w1, w2 = term_weights(pair)
         assert value == pytest.approx(100.0 * math.sqrt(w1 * v1 + w2 * v2), rel=1e-14)
 
@@ -177,9 +178,9 @@ class TestBvix:
         pair = pair_with_minutes(MINUTES_30D, MINUTES_30D + 7 * 1440.0)
         strikes = np.linspace(65.0, 170.0, 40)
         calls, puts = flat_bsm_chain(100.0, 0.0, 30 / 365, 0.4, strikes)
-        near = term_inputs_from_chain(strikes, calls, puts, 100.0, 0.0, 30 / 365)
+        near = term_variance(strikes, calls, puts, 100.0, 0.0, 30 / 365)
         value = bvix(pair, near, near)
-        assert value == pytest.approx(100.0 * math.sqrt(term_variance(near)), rel=1e-14)
+        assert value == pytest.approx(100.0 * math.sqrt(near), rel=1e-14)
 
     def test_flat_surface_recovery_across_weekdays(self):
         # every valuation weekday, sigma from 20% to 100%: the blended index
@@ -194,9 +195,7 @@ class TestBvix:
                     strikes = np.linspace(65.0, 170.0, 40)
                     calls, puts = flat_bsm_chain(100.0, 0.02, tau, vol, strikes)
                     terms.append(
-                        term_inputs_from_chain(
-                            strikes, calls, puts, 100.0 * math.exp(0.02 * tau), 0.02, tau
-                        )
+                        term_variance(strikes, calls, puts, 100.0 * math.exp(0.02 * tau), 0.02, tau)
                     )
                 value = bvix(pair, terms[0], terms[1])
                 assert value == pytest.approx(100.0 * vol, rel=0.05)
@@ -297,6 +296,28 @@ class TestNormalize:
             normalize(s)
 
 
+@pytest.mark.parametrize(
+    "band",
+    [
+        dict(strike_lo=-1.0), dict(strike_lo=0.0), dict(strike_lo=math.nan),
+        dict(strike_lo=2.0, strike_hi=1.0), dict(strike_hi=math.inf), dict(n_strikes=2),
+    ],
+)
+def test_bvix_config_rejects_a_band_that_cannot_work(band):
+    message = "n_strikes must be at least 3, got 2" if "n_strikes" in band else "strike band"
+    with pytest.raises(ValueError, match=message):
+        BvixConfig(**band)
+
+
+@pytest.mark.parametrize("annualization", [0.0, -1.0, math.inf, math.nan])
+def test_annualization_must_be_positive(annualization, btc_params):
+    message = f"annualization must be positive, got {annualization}"
+    with pytest.raises(ValueError, match=message):
+        rolling_std_vol(make_series(np.zeros(10)), window=5, annualization=annualization)
+    with pytest.raises(ValueError, match=message):
+        ndig_it_vol(btc_params, annualization)
+
+
 class TestBvixEndToEnd:
     def test_bsm_limit_matches_flat_vol(self):
         # degenerate-subordinator parameters price a flat lognormal surface,
@@ -325,7 +346,7 @@ def _bvix_per_cell(params, spot, day, rate, config):
         calls = _interp_calls(np.log(grid_k), grid_c, np.log(strikes))
         puts = np.array([put_from_parity(float(c), ctx, float(k))[0] for c, k in zip(calls, strikes)])
         forward = spot * math.exp(rate * tau)
-        terms.append(term_inputs_from_chain(strikes, calls, puts, forward, rate, tau))
+        terms.append(term_variance(strikes, calls, puts, forward, rate, tau))
     return bvix(pair, terms[0], terms[1])
 
 
@@ -401,6 +422,19 @@ class TestBvixSeries:
         assert len(series.values) == 0
         assert len(gaps) == 2
         assert all("no rate" in reason for _, reason in gaps)
+
+    def test_prices_are_never_dropped_silently(self, btc_params):
+        from ndigvol import bvix_from_rolling
+
+        closes, dates = self.closes_and_dates(btc_params, 152, seed=6)
+        rolling = self.rolling(closes, dates)
+        with pytest.raises(ValueError, match="differ in length: 151 and 152"):
+            bvix_from_rolling(closes[:-1], dates, rolling)
+        # the last window ends on a day the close series does not hold
+        moved = dates[:-1] + (dates[-1] + timedelta(days=30),)
+        series, gaps = bvix_from_rolling(closes, moved, rolling)
+        assert series.dates == (dates[-2],)
+        assert gaps == [(dates[-1], f"no close on {dates[-1]}")]
 
 
 def _rate_by_scan(rates: dict, day: date) -> float:
