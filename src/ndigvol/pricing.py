@@ -68,6 +68,7 @@ _VOL_HI = 20.0
 # max(S, 1) is flagged
 _BOUND_TOL = 1e-8
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -234,16 +235,28 @@ def put_from_parity(call: float, ctx: MarketContext, strike: float) -> tuple[flo
     return raw, False
 
 
+def _ndtr(x) -> np.ndarray:
+    """Standard normal cdf 0.5 * erfc(-x * sqrt(1/2)), elementwise.
+
+    Relative error at most about (1 + x^2) * 2**-52: rounding x * sqrt(1/2)
+    is the x^2 term.  bsm_price evaluates the same expression on floats, so
+    the solver's repricing equals it bit for bit.
+    """
+    z = -np.asarray(x, dtype=float) * _SQRT_HALF
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), dtype=float, count=z.size)
+    return 0.5 * erfc.reshape(z.shape)
+
+
 def bsm_price(ctx: MarketContext, strike: float, vol: float) -> float:
     """Black-Scholes-Merton European call value at annualized volatility."""
-    from scipy.special import ndtr  # loaded on first use: nothing else needs scipy
-
     if not vol > 0.0:
         raise ValueError("vol must be positive")
     sq = vol * math.sqrt(ctx.maturity)
     d1 = (math.log(ctx.s0 / strike) + (ctx.r + 0.5 * vol * vol) * ctx.maturity) / sq
     d2 = d1 - sq
-    return ctx.s0 * ndtr(d1) - strike * math.exp(-ctx.r * ctx.maturity) * ndtr(d2)
+    n1 = 0.5 * math.erfc(-d1 * _SQRT_HALF)
+    n2 = 0.5 * math.erfc(-d2 * _SQRT_HALF)
+    return ctx.s0 * n1 - strike * math.exp(-ctx.r * ctx.maturity) * n2
 
 
 def implied_vol(ctx: MarketContext, strike: float, observed_price: float) -> float:
@@ -275,8 +288,6 @@ def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
     vol far into the wings where the call price itself is not; every cell
     starts at vol 1.
     """
-    from scipy.special import ndtr  # loaded on first use, as in bsm_price
-
     cells = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (strikes, maturities, prices)))
     shape = cells[0].shape
     k, tau, c = (a.ravel() for a in cells)
@@ -294,7 +305,7 @@ def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
             sqrt_t, log_m, tau, sign, disc_k, target = const
             sq = vol * sqrt_t
             d1 = (log_m + (r + 0.5 * vol * vol) * tau) / sq
-            otm = sign * (s0 * ndtr(sign * d1) - disc_k * ndtr(sign * (d1 - sq)))
+            otm = sign * (s0 * _ndtr(sign * d1) - disc_k * _ndtr(sign * (d1 - sq)))
             vega = s0 * sqrt_t * np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
             return np.log(otm) - target, otm / vega
 
@@ -324,7 +335,7 @@ def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
                 live, x, lo_v, hi_v, const = live[keep], x[keep], lo_v[keep], hi_v[keep], const[:, keep]
         sq = vols * sqrt_t
         d1 = (log_m + (r + 0.5 * vols * vols) * tau) / sq
-        call = s0 * ndtr(d1) - disc_k * ndtr(d1 - sq)
+        call = s0 * _ndtr(d1) - disc_k * _ndtr(d1 - sq)
         vols[~(np.abs(call - c) <= _PRICE_TOL * np.maximum(1.0, c))] = math.nan
     return vols.reshape(shape)
 
@@ -391,10 +402,11 @@ def price_surface(
     """
     strikes = np.asarray(strikes, dtype=float)
     maturities = np.asarray(maturities, dtype=float)
-    if np.any(strikes <= 0.0):
-        raise ValueError("strikes must be positive")
-    if np.any(maturities <= 0.0):
-        raise ValueError("maturities must be positive")
+    if not (strikes.size and np.all(np.isfinite(strikes) & (strikes > 0.0))
+            and np.all(np.diff(strikes) > 0.0)):
+        raise ValueError("strikes must be non-empty, finite, positive and strictly increasing")
+    if not (maturities.size and np.all(np.isfinite(maturities) & (maturities > 0.0))):
+        raise ValueError("maturities must be non-empty, finite and positive")
     cfg = grid if grid is not None else FFTGridConfig()
     calls, puts, flags = _chain(p, s0, r, strikes, maturities, cfg)
     vols = _implied_vols(s0, r, strikes, maturities[:, None], calls)

@@ -1,14 +1,10 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import ndigvol
 from ndigvol import (
@@ -23,7 +19,7 @@ from ndigvol import (
     put_from_parity,
     risk_neutral_chf,
 )
-from ndigvol.pricing import _implied_vols, integrand_tail_ratio
+from ndigvol.pricing import _implied_vols, _ndtr, integrand_tail_ratio
 
 from oracles import bs_call, brentq_implied_vol, quad_call_price
 
@@ -151,9 +147,22 @@ class TestParityAndBsm:
         )
         assert bsm_price(ctx, 120.0, 1e-12) == pytest.approx(0.0, abs=1e-12)
 
-    def test_bsm_matches_norm_cdf_form_exactly(self):
-        # bsm_price runs on scipy.special.ndtr, which norm.cdf of a float
-        # calls, so the two forms agree bit for bit
+    def test_ndtr_within_its_error_bound(self):
+        # |N/Phi - 1| <= 2 (1 + x^2) 2**-52 against 50-digit Phi; rounding
+        # x * sqrt(1/2) is the x^2 term (scipy.special.ndtr reaches 2.09)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-37.5, 9.0, 2000), 3.0 * rng.standard_normal(2000)])
+        ours = _ndtr(x)
+        with mp.workdps(50):
+            exact = np.array([float(mp.ncdf(mp.mpf(float(xi)))) for xi in x])
+        keep = exact >= 1e-300
+        assert keep.sum() > 3900
+        err = np.abs(ours[keep] / exact[keep] - 1.0)
+        assert np.all(err <= 2.0 * (1.0 + x[keep] ** 2) * 2.0**-52)
+
+    def test_bsm_matches_ndtr_form_exactly(self):
+        # the solver reprices with _ndtr, so bsm_price must equal that form
+        # bit for bit
         rng = np.random.default_rng(11)
         for _ in range(2000):
             ctx = MarketContext(
@@ -164,7 +173,7 @@ class TestParityAndBsm:
             vol = float(np.exp(rng.uniform(math.log(0.01), math.log(5.0))))
             sq = vol * math.sqrt(ctx.maturity)
             d1 = (math.log(ctx.s0 / strike) + (ctx.r + 0.5 * vol * vol) * ctx.maturity) / sq
-            ref = ctx.s0 * norm.cdf(d1) - strike * math.exp(-ctx.r * ctx.maturity) * norm.cdf(d1 - sq)
+            ref = ctx.s0 * _ndtr(d1) - strike * math.exp(-ctx.r * ctx.maturity) * _ndtr(d1 - sq)
             assert bsm_price(ctx, strike, vol) == ref
 
     def test_bsm_monotone_in_vol(self):
@@ -262,16 +271,6 @@ class TestImpliedVolSolver:
         assert np.isnan(_implied_vols(ctx.s0, ctx.r, 1e8, ctx.maturity, price))
         with pytest.raises(ValueError, match="price tolerance"):
             implied_vol(ctx, 1e8, price)
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import, and pricing needs only scipy.special
-    src = str(Path(ndigvol.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, ndigvol; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_package_exports_every_module_name():
@@ -372,6 +371,20 @@ class TestPriceSurface:
             price_surface(btc_params, 100.0, 0.02, [-5.0], [0.1])
         with pytest.raises(ValueError):
             price_surface(btc_params, 100.0, 0.02, [100.0], [0.0])
+
+    @pytest.mark.parametrize("strikes, maturities, error", [
+        ([], [0.1], "strikes must be non-empty, finite, positive and strictly increasing"),
+        ([110.0, 90.0], [0.1], "strikes must be"),
+        ([90.0, 100.0, 100.0], [0.1], "strikes must be"),
+        ([math.nan, 100.0], [0.1], "strikes must be"),
+        ([100.0, math.inf], [0.1], "strikes must be"),
+        ([100.0], [], "maturities must be non-empty, finite and positive"),
+        ([100.0], [math.nan], "maturities must be"),
+        ([100.0], [math.inf], "maturities must be"),
+    ])
+    def test_rejects_a_grid_that_cannot_work(self, btc_params, strikes, maturities, error):
+        with pytest.raises(ValueError, match=error):
+            price_surface(btc_params, 100.0, 0.02, strikes, maturities)
 
 
 def test_fft_matches_monte_carlo(btc_params):
