@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,7 +116,12 @@ def _require_input(args: argparse.Namespace) -> PriceSeries:
 
 
 def _rates(config: RunConfig):
-    return load_rates(config.rate_file) if config.rate_file else config.rate
+    """The rate file's dated rates, else the constant rate; either fails before any fit."""
+    if config.rate_file is not None:
+        return load_rates(config.rate_file)
+    if not math.isfinite(config.rate):
+        raise ValueError(f"config key 'rate' must be finite, got {config.rate}")
+    return config.rate
 
 
 def _surface_strikes(config: RunConfig) -> np.ndarray:

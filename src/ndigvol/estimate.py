@@ -13,8 +13,9 @@ The fit estimates the five parameters of ``NDIGParams``.  For a given
 lambda_t the four moment equations fix the other four (mu3 and sigma3 in
 closed form, rho and lambda_u by a 2x2 Newton), so the moment terms vanish
 and the fit is a one-dimensional profile of the objective over lambda_t
-(variable projection, Golub & Pereyra 2003): a fixed scan, then a bounded
-Brent search around the best scan point.  Matched points whose cgf domain
+(variable projection, Golub & Pereyra 2003): a fixed scan, then a
+parabolic refinement from the best scan point and its two neighbours,
+which reuses their three values.  Matched points whose cgf domain
 excludes w = 1 (which would make the fitted model unpriceable) carry
 ``FEASIBILITY_PENALTY``.  A sample no NDIG law can match gets the Gaussian
 limit, flagged ``converged=False``.
@@ -54,9 +55,9 @@ MAX_NEWTON = 30
 NODE_WEIGHT_FLOOR = 1e-16
 # fewest returns fit accepts
 MIN_LENGTH = 100
-# bounded Brent search: absolute tolerance in z, most profile evaluations
-BRENT_XATOL = 1e-5
-BRENT_MAX_EVALS = 500
+# refinement of the best scan point: tolerance in z, most steps
+Z_TOL = 1e-3
+MAX_REFINE = 60
 
 
 def _ecf_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +249,7 @@ def _value(p: NDIGParams, emp: MomentSet, ecf: np.ndarray) -> float:
 
 
 def _matched(z: float, emp: MomentSet) -> NDIGParams | None:
-    """The moment-matched parameters at b = b_edge / (1 + exp(-z)), or None."""
+    """The moment-matched parameters at b = b_edge / (1 + exp(-z)) if all are finite, else None."""
     b_edge = _b_edge(emp)
     b = b_edge / (1.0 + math.exp(-z))
     root = _match_moments(b, b_edge, emp.skewness, emp.kurtosis - 3.0)
@@ -256,93 +257,46 @@ def _matched(z: float, emp: MomentSet) -> NDIGParams | None:
         return None
     r, a = root
     rho = r * math.sqrt(emp.variance)
-    return NDIGParams(
-        mu3=emp.mean - rho,
-        sigma3=math.sqrt(emp.variance * (1.0 - r * r * (a + b))),
-        rho=rho,
-        lambda_t=1.0 / b,
-        lambda_u=1.0 / a,
-    )
+    sigma3 = math.sqrt(emp.variance * (1.0 - r * r * (a + b)))
+    try:  # a root this near a = 0 makes lambda_u infinite
+        return NDIGParams(emp.mean - rho, sigma3, rho, lambda_t=1.0 / b, lambda_u=1.0 / a)
+    except ValueError:
+        return None
 
 
-def _bounded_brent(func, a: float, b: float) -> None:
-    """Minimize ``func`` on [a, b] by Brent's bounded method (Brent 1973, ch. 5).
+def _refine(profile, x: tuple[float, float, float], f: tuple[float, float, float]) -> None:
+    """Minimize ``profile`` in the bracket x[0] <= x[1] <= x[2], whose best point is x[1].
 
-    Golden-section steps, replaced by a parabolic step through the three
-    best points whenever that step is acceptable.  The steps and float
-    operations are those of scipy 1.17's ``minimize_scalar(method="bounded")``
-    at its defaults (xatol ``BRENT_XATOL``, at most ``BRENT_MAX_EVALS``
-    evaluations), so both evaluate the same points.  Returns nothing: the
-    caller keeps the points it evaluates.
+    Each step evaluates the vertex of the parabola through the three points
+    (f = profile(x)), or the midpoint of the wider side when the vertex is
+    outside the open bracket or within ``Z_TOL`` of x[1]; the new point
+    becomes an end or the best point.  Stops once the bracket's half-width
+    is below ``Z_TOL``, or after ``MAX_REFINE`` steps.  Returns nothing.
     """
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    # xf is the best point so far, nfc the second best, fulc the previous nfc
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fnfc = ffulc = func(xf)
-    n_evals = 1
-    rat = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a) and n_evals < BRENT_MAX_EVALS:
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0.0 else xf + step
-        fu = func(x)
-        n_evals += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    (x0, x1, x2), (f0, f1, f2) = x, f
+    for _ in range(MAX_REFINE):
+        if x2 - x0 < 2.0 * Z_TOL:
+            return
+        d0, d2 = x1 - x0, x2 - x1
+        den = d0 * (f1 - f2) + d2 * (f1 - f0)  # <= 0, as x[1] is the best point
+        u = x1 - 0.5 * (d0 * d0 * (f1 - f2) - d2 * d2 * (f1 - f0)) / den if den else x1
+        if not (x0 < u < x2 and abs(u - x1) >= Z_TOL):
+            u = 0.5 * (x1 + (x0 if d0 > d2 else x2))
+        fu = profile(u)
+        if fu < f1:
+            x0, f0, x2, f2 = (x0, f0, x1, f1) if u < x1 else (x1, f1, x2, f2)
+            x1, f1 = u, fu
+        elif u < x1:
+            x0, f0 = u, fu
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + BRENT_XATOL / 3.0
-        tol2 = 2.0 * tol1
+            x2, f2 = u, fu
 
 
 def objective(p: NDIGParams, series: ReturnSeries) -> FitResult:
     """Evaluate the five-term objective at fixed parameters (no optimization)."""
     terms = _terms(p, _checked_moments(series.returns), empirical_chf(series, ECF_NODES))
-    return FitResult(
-        params=p,
-        objective_value=float(sum(terms)),
-        term_breakdown=terms,
-        converged=True,
-        evaluations=1,
-    )
+    return FitResult(params=p, objective_value=float(sum(terms)), term_breakdown=terms,
+                     converged=True, evaluations=1)
 
 
 def fit(series: ReturnSeries) -> FitResult:
@@ -350,8 +304,9 @@ def fit(series: ReturnSeries) -> FitResult:
 
     Profiles the objective over z = logit(b / b_edge), b = 1/lambda_t, whose
     ends (lambda_t = ``LAMBDA_CAP`` and lambda_u near ``LAMBDA_CAP``) are
-    both near the same NIG law: ``N_SCAN`` evenly spaced points, then a
-    bounded Brent search between the best point's neighbours.  The result is
+    both near the same NIG law: ``N_SCAN`` evenly spaced points, then
+    ``_refine`` from the best point and its neighbours (the best point
+    twice at an end of the scan) to within ``Z_TOL`` in z.  The result is
     the best point evaluated, and deterministic.  When no scan point can
     match the sample moments (excess kurtosis at most 4 skew^2 / 3, as for
     Gaussian data), the result is the Gaussian limit: rho = 0, the sample
@@ -381,8 +336,8 @@ def _fit(returns: np.ndarray, ecf: np.ndarray) -> FitResult:
         values = [profile(z) for z in scan]
         i = values.index(min(values))
         if values[i] < UNMATCHED:
-            bounds = (scan[max(i - 1, 0)], scan[min(i + 1, N_SCAN - 1)])
-            _bounded_brent(profile, *bounds)
+            j = (max(i - 1, 0), i, min(i + 1, N_SCAN - 1))
+            _refine(profile, tuple(scan[k] for k in j), tuple(values[k] for k in j))
     value, params = min(evaluated, key=lambda e: e[0], default=(UNMATCHED, None))
     converged = params is not None
     if not converged:

@@ -99,6 +99,11 @@ class RunConfig:
     x0: float = 0.0
     horizon_days: float = 30.0
 
+    def __post_init__(self) -> None:
+        if self.rate_file == "":
+            raise ValueError(
+                "config key 'rate_file' is empty: name a rate CSV or leave the key out")
+
     def config_hash(self) -> str:
         """Hash of every field; a rate file counts by its content, not its path."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -44,6 +44,8 @@ class NDIGParams:
     rho      -- loading on the doubly subordinated clock T(U(t))
     lambda_t -- IG shape of the inner subordinator T, > 0
     lambda_u -- IG shape of the outer subordinator U, > 0
+
+    All five are finite.
     """
 
     mu3: float
@@ -53,12 +55,12 @@ class NDIGParams:
     lambda_u: float
 
     def __post_init__(self) -> None:
-        if not self.sigma3 > 0.0:
-            raise ValueError(f"sigma3 must be positive, got {self.sigma3}")
-        if not self.lambda_t > 0.0:
-            raise ValueError(f"lambda_t must be positive, got {self.lambda_t}")
-        if not self.lambda_u > 0.0:
-            raise ValueError(f"lambda_u must be positive, got {self.lambda_u}")
+        for name in ("mu3", "rho"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("sigma3", "lambda_t", "lambda_u"):
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

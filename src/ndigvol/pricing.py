@@ -80,10 +80,16 @@ class MarketContext:
     maturity: float
 
     def __post_init__(self) -> None:
-        if not self.s0 > 0.0:
-            raise ValueError("s0 must be positive")
+        _check_spot_and_rate(self.s0, self.r)
         if not self.maturity > 0.0:
             raise ValueError("maturity must be positive")
+
+
+def _check_spot_and_rate(s0: float, r: float) -> None:
+    if not 0.0 < s0 < math.inf:
+        raise ValueError(f"s0 must be positive and finite, got {s0}")
+    if not math.isfinite(r):
+        raise ValueError(f"rate r must be finite, got {r}")
 
 
 @dataclass(frozen=True)
@@ -400,6 +406,7 @@ def price_surface(
     Implied vol is NaN on cells whose price leaves the invertible band or
     cannot be inverted within the price tolerance (those cells are flagged).
     """
+    _check_spot_and_rate(s0, r)
     strikes = np.asarray(strikes, dtype=float)
     maturities = np.asarray(maturities, dtype=float)
     if not (strikes.size and np.all(np.isfinite(strikes) & (strikes > 0.0))

@@ -122,6 +122,8 @@ def simulate_paths(
         raise ValueError("time grid must be strictly increasing")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
 
     paths = np.empty((n_paths, len(times)))
     paths[:, 0] = x0

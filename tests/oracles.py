@@ -4,8 +4,8 @@ Everything here is written from the defining formulas, not by calling the
 package under test: arbitrary-precision cgf/chf and cumulants (mpmath),
 the cgf domain as the intersection of two quadratic root intervals,
 fourth-order finite-difference cumulants, a slow adaptive-quadrature call
-pricer, a closed-form Black-Scholes chain builder, a bracketing
-implied-vol inversion and scipy's bounded scalar minimizer.
+pricer, a closed-form Black-Scholes chain builder and a bracketing
+implied-vol inversion.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 mp.mp.dps = 40
@@ -180,24 +180,3 @@ def brentq_implied_vol(s, k, r, tau, price, lo=1e-8, hi=20.0):
     if abs(f(vol)) > 1e-10 * max(1.0, price):
         return None
     return vol
-
-
-# ---------------------------------------------------------------------------
-# bounded scalar minimization
-# ---------------------------------------------------------------------------
-
-def evaluated_points(minimizer, func, a: float, b: float) -> list[float]:
-    """Every x at which ``minimizer(f, a, b)`` evaluates ``func``, in order."""
-    xs: list[float] = []
-
-    def recorded(x):
-        xs.append(float(x))
-        return func(x)
-
-    minimizer(recorded, a, b)
-    return xs
-
-
-def scipy_bounded(func, a: float, b: float) -> None:
-    """scipy's Brent bounded minimizer at its default options."""
-    minimize_scalar(func, bounds=(a, b), method="bounded")

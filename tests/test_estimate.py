@@ -9,7 +9,6 @@ import pytest
 
 from conftest import random_params
 from golden.regen import CLOSES
-from oracles import evaluated_points, scipy_bounded
 from ndigvol import (
     NDIGParams,
     ReturnSeries,
@@ -35,7 +34,6 @@ from ndigvol.estimate import (
     NODE_WEIGHT_FLOOR,
     UNMATCHED,
     _b_edge,
-    _bounded_brent,
     _k34,
     _matched,
     _terms,
@@ -319,6 +317,11 @@ class TestProfileFit:
             assert p is not None
             assert max(_terms(p, emp, ecf)[:4]) < 1e-28
 
+    def test_infinite_lambda_scores_unmatched(self, btc_params, monkeypatch):
+        # a root at the smallest positive a would make lambda_u = 1/a infinite
+        emp = empirical_moments(simulated_series(btc_params, 2000, seed=9))
+        monkeypatch.setattr(estimate, "_match_moments", lambda *args: (0.1, 5e-324))
+        assert _matched(0.0, emp) is None
 
     def test_narrow_profile_scans_upward(self, btc_params, monkeypatch):
         # with b_edge * LAMBDA_CAP in (1, 2) the cap's z is negative; the
@@ -331,70 +334,73 @@ class TestProfileFit:
         assert max(res.term_breakdown[:4]) < 1e-28
 
 
-def _seeded_function(rng: np.random.Generator):
-    """A random test function with its bounds [a, b]: one of six kinds."""
-    a = float(rng.uniform(-5.0, 1.0))
-    b = a + float(rng.uniform(1e-3, 6.0))
-    # centres may fall outside [a, b], which puts the minimum at a bound
-    c = float(rng.uniform(a - 1.0, b + 1.0))
-    scale = float(10.0 ** rng.uniform(-3.0, 3.0))
-    kind = int(rng.integers(6))
-    if kind == 0:  # shifted quadratic
-        return (lambda x: scale * (x - c) ** 2 + 1.0), a, b
-    if kind == 1:  # tilted double well
-        w, tilt = float(rng.uniform(0.1, 2.0)), float(rng.uniform(-1.0, 1.0))
-        return (lambda x: scale * ((x - c) ** 2 - w * w) ** 2 + tilt * x), a, b
-    if kind == 2:  # a plateau on one side, as where the moments cannot be matched
-        side = 1.0 if rng.random() < 0.5 else -1.0
-        return (lambda x: UNMATCHED if side * (x - c) > 0.0 else scale * (x - c) ** 2), a, b
-    if kind == 3:  # constant
-        return (lambda x: scale), a, b
-    if kind == 4:  # staircase: runs of tied values
-        steps = float(rng.uniform(1.0, 20.0))
-        return (lambda x: scale * math.floor(steps * abs(x - c))), a, b
-    # linear: the minimum is at the bound the slope points to
-    slope = scale if rng.random() < 0.5 else -scale
-    return (lambda x: slope * x), a, b
+def _regime_returns(p: NDIGParams, days: int, seed: int) -> np.ndarray:
+    """Four regimes of ``days`` returns each, with the Brownian scales of C9."""
+    return np.concatenate([
+        simulated_series(replace(p, sigma3=sigma3), days, seed=seed + k).returns
+        for k, sigma3 in enumerate((0.03, 0.06, 0.04, 0.08))
+    ])
 
 
-class TestBoundedBrent:
-    # scipy's minimize_scalar(method="bounded") is the oracle: the port must
-    # evaluate exactly the points it evaluates, in the same order
-    def test_evaluates_scipys_points_on_seeded_functions(self):
-        rng = np.random.default_rng(2026)
-        mismatched = []
-        for i in range(1200):
-            func, a, b = _seeded_function(rng)
-            ours = evaluated_points(_bounded_brent, func, a, b)
-            if ours != evaluated_points(scipy_bounded, func, a, b):
-                mismatched.append(i)
-        assert mismatched == []
+def _dense_minimum(profile, x) -> float:
+    """The least profile value on 1,001 evenly spaced points of the bracket [x[0], x[2]]."""
+    return min(profile(float(z)) for z in np.linspace(x[0], x[2], 1001))
 
-    def test_stops_at_the_evaluation_cap(self):
-        # a kink far inside a huge bracket: golden steps all the way down
-        def kink(x):
-            return x - 0.3 if x > 0.3 else 7.0 * (0.3 - x)
 
-        ours = evaluated_points(_bounded_brent, kink, -1e100, 1e100)
-        assert len(ours) == estimate.BRENT_MAX_EVALS
-        assert ours == evaluated_points(scipy_bounded, kink, -1e100, 1e100)
+class TestRefine:
+    # the refinement ends within Z_TOL of the minimum and the dense scan's
+    # points are about 1e-3 apart in z, so each misses it by about
+    # f'' dz^2 / 2; the refined value is at most 5.8e-10 relative above the
+    # dense minimum on these windows
+    REL_TOL = 1e-8
 
-    def test_evaluates_scipys_points_on_real_profiles(self, btc_params, monkeypatch):
-        # every 10th window of a four-regime series built as in C9
-        chunks = [
-            simulated_series(replace(btc_params, sigma3=sigma3), 750, seed=seed).returns
-            for sigma3, seed in ((0.03, 11), (0.06, 12), (0.04, 13), (0.08, 14))
-        ]
+    @staticmethod
+    def _searches(monkeypatch) -> list:
+        """Record the profile and bracket of every refinement ``fit`` runs."""
         searches = []
+        refine = estimate._refine
 
-        def checked(func, a, b):
-            ours = evaluated_points(_bounded_brent, func, a, b)
-            searches.append(ours == evaluated_points(scipy_bounded, func, a, b))
+        def recorded(profile, x, f):
+            searches.append((profile, x, f))
+            refine(profile, x, f)
 
-        monkeypatch.setattr(estimate, "_bounded_brent", checked)
-        rolling_fit(make_series(np.concatenate(chunks)), window=1008, step=10)
-        assert len(searches) >= 100
-        assert all(searches)
+        monkeypatch.setattr(estimate, "_refine", recorded)
+        return searches
+
+    def test_matches_a_dense_scan_on_real_profiles(self, btc_params, monkeypatch):
+        # every 10th window of a four-regime series built as in C9
+        searches = self._searches(monkeypatch)
+        roll = rolling_fit(make_series(_regime_returns(btc_params, 300, seed=11)), step=10)
+        assert len(searches) == len(roll.results) == 20
+        for (profile, x, _), res in zip(searches, roll.results):
+            assert res.objective_value <= _dense_minimum(profile, x) * (1.0 + self.REL_TOL)
+            assert res.evaluations < estimate.N_SCAN + estimate.MAX_REFINE
+
+    def test_finds_the_minimum_before_an_unmatched_cliff(self, btc_params, monkeypatch):
+        # each window's profile falls toward a z past which the moments
+        # cannot be matched, so one end of the scan's bracket is UNMATCHED
+        searches = self._searches(monkeypatch)
+        for seed in (630, 2280, 2390):
+            res = fit(make_series(_regime_returns(btc_params, 252, seed=seed)))
+            profile, x, f = searches[-1]
+            assert max(f) == UNMATCHED
+            assert res.objective_value <= _dense_minimum(profile, x) * (1.0 + self.REL_TOL)
+            assert res.evaluations < estimate.N_SCAN + estimate.MAX_REFINE
+
+    def test_best_scan_point_at_either_end(self):
+        # the best point is doubled; the minimum is on that end, near it or inside
+        for c in (0.0, 0.02, 0.37):
+            for x in ((0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)):
+                evaluated = []
+                z_min = c * (x[0] + x[2])
+
+                def profile(z):
+                    evaluated.append((abs(z - z_min) ** 1.5, z))
+                    return evaluated[-1][0]
+
+                estimate._refine(profile, x, tuple(map(profile, x)))
+                assert abs(min(evaluated)[1] - z_min) <= estimate.Z_TOL
+                assert len(evaluated) - 3 < estimate.MAX_REFINE
 
 
 class TestRollingFit:

@@ -518,6 +518,58 @@ class TestCli:
         assert payload["error"] == f"annualization must be positive, got {float(value)}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("item, error", [
+        ("mu3=nan", "mu3 must be finite, got nan"),
+        ("rho=nan", "rho must be finite, got nan"),
+        ("lambda_t=inf", "lambda_t must be positive and finite, got inf"),
+        ("x0=nan", "x0 must be finite, got nan"),
+    ])
+    def test_simulate_rejects_non_finite_parameters(self, tmp_path, capsys, item, error):
+        assert main(["simulate", "--output-dir", str(tmp_path / "out"), "--set", item]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("item, error", [
+        ("s0=nan", "s0 must be positive and finite, got nan"),
+        ("rate=nan", "rate r must be finite, got nan"),
+    ])
+    def test_price_names_a_bad_spot_or_rate(self, tmp_path, capsys, item, error):
+        assert main(["price", "--output-dir", str(tmp_path / "out"), "--set", item]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["bvix", "pipeline"])
+    def test_non_finite_rate_fails_before_the_fit(
+        self, tmp_path, capsys, monkeypatch, command, value
+    ):
+        import ndigvol.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("rolling_fit reached")
+
+        monkeypatch.setattr(cli, "rolling_fit", no_fit)
+        prices = synthetic_price_csv(tmp_path / "p.csv", 160)
+        argv = [command, "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150", "--set", f"rate={value}"]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == f"config key 'rate' must be finite, got {float(value)}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option", [["--set", "rate_file="], ["--rate-file", ""]])
+    def test_empty_rate_file_names_its_key(self, tmp_path, capsys, option):
+        prices = synthetic_price_csv(tmp_path / "p.csv", 160)
+        argv = ["bvix", "--input", str(prices), "--output-dir", str(tmp_path / "out"),
+                "--window", "150", *option]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == (
+            "config key 'rate_file' is empty: name a rate CSV or leave the key out")
+        assert not (tmp_path / "out").exists()
+
     def test_pipeline_normalize_failure_writes_nothing(self, tmp_path, capsys):
         prices = synthetic_price_csv(tmp_path / "p.csv", 153)
         # a damping beyond every window's bound: each BVIX window is a gap

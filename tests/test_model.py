@@ -52,6 +52,18 @@ class TestParams:
         with pytest.raises(ValueError):
             NDIGParams(mu3=0.0, sigma3=0.1, rho=0.0, lambda_t=1.0, lambda_u=0.0)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("mu3", math.nan, "mu3 must be finite, got nan"),
+        ("rho", -math.inf, "rho must be finite, got -inf"),
+        ("sigma3", math.inf, "sigma3 must be positive and finite, got inf"),
+        ("lambda_t", math.inf, "lambda_t must be positive and finite, got inf"),
+        ("lambda_u", math.inf, "lambda_u must be positive and finite, got inf"),
+    ], ids=["mu3", "rho", "sigma3", "lambda_t", "lambda_u"])
+    def test_rejects_non_finite_values(self, btc_params, field, value, error):
+        with pytest.raises(ValueError) as err:
+            replace(btc_params, **{field: value})
+        assert str(err.value) == error
+
 
 class TestCgf:
     def test_zero_argument(self, btc_params):

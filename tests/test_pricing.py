@@ -366,6 +366,23 @@ class TestPriceSurface:
             np.testing.assert_allclose(chain.call_prices[i], ref, rtol=1e-3)
             np.testing.assert_allclose(chain.implied_vols[i], vol, rtol=1e-2)
 
+    @pytest.mark.parametrize("s0, r, error", [
+        (math.nan, 0.02, "s0 must be positive and finite, got nan"),
+        (math.inf, 0.02, "s0 must be positive and finite, got inf"),
+        (0.0, 0.02, "s0 must be positive and finite, got 0.0"),
+        (100.0, math.nan, "rate r must be finite, got nan"),
+        (100.0, -math.inf, "rate r must be finite, got -inf"),
+    ])
+    def test_spot_and_rate_checked_before_the_strikes(self, btc_params, s0, r, error):
+        # the strikes are bad too, as the CLI's are when built from a bad s0
+        for build in (
+            lambda: MarketContext(s0=s0, r=r, maturity=0.1),
+            lambda: price_surface(btc_params, s0, r, [math.nan], [0.1]),
+        ):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == error
+
     def test_rejects_bad_inputs(self, btc_params):
         with pytest.raises(ValueError):
             price_surface(btc_params, 100.0, 0.02, [-5.0], [0.1])

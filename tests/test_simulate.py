@@ -64,6 +64,11 @@ class TestSimulatePaths:
         with pytest.raises(ValueError):
             simulate_paths(btc_params, np.array([0.0]), 10)
 
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_rejects_non_finite_x0(self, btc_params, x0):
+        with pytest.raises(ValueError, match=f"x0 must be finite, got {x0}"):
+            simulate_paths(btc_params, np.array([0.0, 1.0]), 10, x0=x0)
+
     def test_first_column_is_x0(self, btc_params):
         ps = simulate_paths(btc_params, np.array([0.0, 1.0]), 100, x0=3.5, seed=0)
         np.testing.assert_array_equal(ps.paths[:, 0], np.full(100, 3.5))
