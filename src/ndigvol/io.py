@@ -2,12 +2,14 @@
 
 All outputs are plain CSV with a single provenance comment line on top
 (`# ndigvol=<version> config=<hash> seed=<seed>`) and fixed column schemas.
-Each writer hands whole numpy columns to one column writer, which streams
-them to the csv module in fixed blocks of rows, so its memory does not
-grow with the file.  The csv module writes each float as its shortest
-round-trip repr (`nan` for a missing value) and each flag as a 0/1 int, so
-identical inputs and seed reproduce identical bytes.  Files are written
-atomically (temp-then-rename).
+Each writer hands whole numpy columns to one column writer, which turns
+them into rows in fixed blocks, so its memory does not grow with the file.
+A block is written as one string: each cell is ``str`` of its value (a
+float's shortest round-trip repr, `nan` for a missing value, a flag as a
+0/1 int), joined with commas and newlines.  Cells are never quoted, so a
+header or text cell holding a comma, a double quote or a line break is
+rejected.  Identical inputs and seed reproduce identical bytes.  Files are
+written atomically (temp-then-rename).
 """
 
 from __future__ import annotations
@@ -229,7 +231,17 @@ _BLOCK_ROWS = 4096
 
 def _atomic_write(path: str | Path, config: RunConfig, columns: dict[str, np.ndarray | list]) -> None:
     """Provenance line, header, then the rows of the equal-length 1-D columns,
-    ``_BLOCK_ROWS`` at a time, so that only one block is ever held as Python objects."""
+    ``_BLOCK_ROWS`` at a time, so that only one block is ever held as Python objects.
+
+    Each cell is ``str`` of its value: a float's shortest repr, an int's digits,
+    a ``str`` as it is.  Cells are never quoted, so a header name, or a cell of a
+    column passed as a list of ``str``, that holds a comma, a double quote or a
+    line break is rejected before anything is written.
+    """
+    for name, col in columns.items():
+        for cell in (name, *(set(col) if isinstance(col, list) else ())):
+            if any(c in cell for c in ',"\r\n'):
+                raise ValueError(f"column {name!r}: {cell!r} would need CSV quoting")
     cols = [np.asarray(col) for col in columns.values()]
     if len({len(col) for col in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(col) for col in cols]}")
@@ -239,10 +251,10 @@ def _atomic_write(path: str | Path, config: RunConfig, columns: dict[str, np.nda
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(config.provenance_line() + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
+            fh.write(",".join(columns) + "\n")
             for lo in range(0, len(cols[0]), _BLOCK_ROWS):
-                writer.writerows(zip(*(col[lo:lo + _BLOCK_ROWS].tolist() for col in cols)))
+                cells = [list(map(str, col[lo:lo + _BLOCK_ROWS].tolist())) for col in cols]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -286,9 +298,11 @@ def write_volatility_csv(path: str | Path, series: VolatilitySeries, config: Run
 
 
 def write_paths_csv(path: str | Path, paths: PathSet, config: RunConfig) -> None:
-    n_times = len(paths.times)
+    # each path id and time is formatted once; the rows repeat the str cells
+    ids = np.array(list(map(str, range(paths.n_paths))), dtype=object)
+    times = np.array(list(map(str, np.asarray(paths.times, dtype=float).tolist())), dtype=object)
     _atomic_write(path, config, {
-        "path_id": np.repeat(np.arange(paths.n_paths), n_times),
-        "time": np.tile(np.asarray(paths.times, dtype=float), paths.n_paths),
+        "path_id": np.repeat(ids, len(times)),
+        "time": np.tile(times, paths.n_paths),
         "x": np.asarray(paths.paths, dtype=float).ravel(),
     })

@@ -221,10 +221,19 @@ def _rate_lookup(rates: Mapping[date, float] | float) -> Callable[[date], float]
     """Dated rate lookup with forward fill; constant rates pass through.
 
     The dates are sorted once, so each lookup is a bisection: the rate of
-    the latest date on or before the day asked for.
+    the latest date on or before the day asked for.  A rate that no window
+    could use (a non-finite one, or no dated rate at all) is rejected here,
+    before any window is priced.
     """
     if isinstance(rates, (int, float)):
+        if not math.isfinite(rates):
+            raise ValueError(f"rate r must be finite, got {rates}")
         return lambda day: float(rates)
+    if not rates:
+        raise ValueError("no rate given: the rate mapping is empty")
+    for day, r in rates.items():
+        if not math.isfinite(r):
+            raise ValueError(f"rate r must be finite, got {r} on {day}")
     days = sorted(rates)
 
     def rate_for(day: date) -> float:
@@ -296,7 +305,8 @@ def bvix_from_rolling(
     ``prices``/``price_dates`` are the close series the fits came from
     (one more point than the return series) and must have equal lengths.
     Returns the series plus a list of (date, reason) gaps for windows whose
-    chain build failed; failures never drop silently.
+    chain build failed; failures never drop silently.  A non-finite rate,
+    or an empty rate mapping, raises before any window is priced.
     """
     prices = np.asarray(prices, dtype=float)
     if len(prices) != len(price_dates):

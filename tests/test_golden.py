@@ -1,10 +1,10 @@
 """Every command's output on a fixed 1,030-close series, against committed files.
 
 ``tests/golden/regen.py`` wrote ``tests/golden/expected/``.  Headers, dates,
-kinds and integer or flag columns must match exactly, and floats within
-``REL`` relative, so that another numpy or libm can pass.  Of the provenance
-line only the ``# ndigvol=`` prefix and the seed are compared: the
-``config=`` hash is pinned by ``test_default_hash_pinned``.
+kinds, integer or flag columns and the provenance line must match exactly,
+and floats within ``REL`` relative, so that another numpy or libm can pass.
+A fixture whose provenance line no longer matches what the command writes
+is stale: rerun ``regen.py``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ def same_cell(got: str, want: str) -> bool:
 def assert_same_csv(got: Path, want: Path) -> None:
     got_lines = got.read_text().splitlines()
     want_lines = want.read_text().splitlines()
-    head_got, head_want = got_lines[0].split(), want_lines[0].split()
-    assert head_got[1].startswith("ndigvol="), got_lines[0]
-    assert head_got[-1] == head_want[-1], "seed"
+    assert got_lines[0] == want_lines[0], "provenance"
     assert got_lines[1] == want_lines[1], "header"
     assert len(got_lines) == len(want_lines), "row count"
     for lineno, (g, w) in enumerate(zip(got_lines[2:], want_lines[2:]), start=3):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ from ndigvol.io import (
     _BLOCK_ROWS,
     PriceSeries,
     RunConfig,
+    _atomic_write,
     config_from_mapping,
     load_config_file,
     load_prices,
@@ -277,10 +279,54 @@ class TestWriters:
             [[d.isoformat(), "STD", v] for d, v in zip(days, values.tolist())],
         )
 
+        # NDIGParams takes any finite mu3 and rho, and positive sigma3 and lambdas
+        finite = np.nan_to_num(values, nan=-0.0)
+        positive = np.abs(finite) + 5e-324
+        objective = values.copy()
+        objective[::7] = math.nan
+        results = tuple(
+            FitResult(
+                params=NDIGParams(m, s, r, lt, lu), objective_value=obj,
+                term_breakdown=(0.0,) * 5, converged=bool(i % 2), evaluations=7,
+            )
+            for i, (m, s, r, lt, lu, obj) in enumerate(zip(
+                finite.tolist(), positive.tolist(), finite[::-1].tolist(),
+                positive[::-1].tolist(), np.roll(positive, 1).tolist(), objective.tolist(),
+            ))
+        )
+        write_rolling_fit_csv(
+            tmp_path / "f.csv", RollingFitSeries(days, results, 150), self.config
+        )
+        assert (tmp_path / "f.csv").read_bytes() == one_shot(
+            ["window_end", "mu3", "sigma3", "rho", "lambda_T", "lambda_U", "objective",
+             "converged"],
+            [[d.isoformat(), *(float(x) for x in (res.params.mu3, res.params.sigma3,
+              res.params.rho, res.params.lambda_t, res.params.lambda_u)),
+              res.objective_value, int(res.converged)] for d, res in zip(days, results)],
+        )
+
+        # a chain of n_times strikes: rows cross maturity boundaries
+        grid = values.reshape(-1, n_times)
+        strikes, taus = times + 1.0, np.linspace(1e-05, 1.0, len(grid))
+        vols, flags = grid[::-1].copy(), (np.arange(n_rows) % 3 == 0).reshape(-1, n_times)
+        vols[flags] = math.nan
+        chain = OptionChain(
+            strikes=strikes, maturities=taus, call_prices=grid, put_prices=-grid,
+            implied_vols=vols, moneyness=strikes / 3.0, bound_flags=flags.astype(int),
+        )
+        write_option_chain_csv(tmp_path / "c.csv", chain, self.config)
+        assert (tmp_path / "c.csv").read_bytes() == one_shot(
+            ["maturity_years", "strike", "call", "put", "implied_vol", "moneyness", "bound_flag"],
+            [[tau, k, grid[i, j], -grid[i, j], vols[i, j], k / 3.0, int(flags[i, j])]
+             for i, tau in enumerate(taus.tolist()) for j, k in enumerate(strikes.tolist())],
+        )
+
     def test_paths_memory_does_not_grow_with_the_file(self, tmp_path):
         # Rows held as Python objects all at once take about 100 bytes each.
-        # Streamed, only the writer's numpy path-id and time columns (16 bytes
-        # a row) grow with the file: compare the traced peaks of two lengths.
+        # Streamed, only the path-id and time columns grow with the file: 16
+        # bytes a row of references to str cells, plus each path id's str
+        # once (about 14 bytes a row at 4 times): compare the traced peaks of
+        # two lengths.
         def peak(n_paths: int) -> int:
             xs = np.random.default_rng(0).standard_normal((n_paths, 4))
             paths = PathSet(np.arange(4.0), xs, seed=4)
@@ -294,6 +340,16 @@ class TestWriters:
         self.config.provenance_line()
         growth = peak(20_000) - peak(5_000)  # 80,000 rows against 20,000
         assert growth / 60_000 < 48
+
+    @pytest.mark.parametrize("bad", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_cells_that_need_quoting_rejected(self, tmp_path, bad):
+        # cells are written unquoted, so one the csv module would quote is an error
+        series = VolatilitySeries(dates=(date(2020, 1, 1),), values=[1.0], kind=bad)
+        with pytest.raises(ValueError, match="column 'kind'"):
+            write_volatility_csv(tmp_path / "v.csv", series, self.config)
+        with pytest.raises(ValueError, match=re.escape(f"column {bad!r}")):
+            _atomic_write(tmp_path / "h.csv", self.config, {bad: np.array([1.0])})
+        assert not list(tmp_path.iterdir())
 
     def test_failed_write_leaves_no_tmp(self, tmp_path):
         series = VolatilitySeries(dates=(date(2020, 1, 1),), values=[1.0], kind="STD")

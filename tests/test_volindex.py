@@ -423,6 +423,18 @@ class TestBvixSeries:
         assert len(gaps) == 2
         assert all("no rate" in reason for _, reason in gaps)
 
+    @pytest.mark.parametrize(
+        "rates", [math.nan, math.inf, {date(2016, 1, 1): 0.01, date(2016, 6, 1): math.nan}, {}]
+    )
+    def test_unusable_rates_raise_before_any_window(self, btc_params, rates):
+        # a rate no window can use is an input error, not a gap in every window
+        from ndigvol import bvix_from_rolling
+
+        closes, dates = self.closes_and_dates(btc_params, 152, seed=6)
+        rolling = self.rolling(closes, dates)
+        with pytest.raises(ValueError, match="rate r must be finite|no rate given"):
+            bvix_from_rolling(closes, dates, rolling, rates=rates)
+
     def test_prices_are_never_dropped_silently(self, btc_params):
         from ndigvol import bvix_from_rolling
 
