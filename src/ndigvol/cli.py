@@ -165,7 +165,12 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
 
     elif command == "simulate":
         params = _params(config)
-        times = np.arange(0.0, config.horizon_days + 1.0)
+        h = config.horizon_days
+        if not (h >= 1.0 and h.is_integer()):  # is_integer is False for nan and inf
+            raise ValueError(f"config key 'horizon_days' must be a whole number >= 1, got {h}")
+        if config.seed < 0:
+            raise ValueError(f"config key 'seed' must be >= 0 for simulate, got {config.seed}")
+        times = np.arange(0.0, h + 1.0)
         paths = simulate_paths(params, times, config.n_paths, x0=config.x0, seed=config.seed)
         emit("paths.csv", write_paths_csv, paths)
 

@@ -29,7 +29,7 @@ from datetime import date
 
 import numpy as np
 
-from .model import MomentSet, NDIGParams, _excludes_w1, chf, cumulants
+from .model import MomentSet, NDIGParams, chf, cumulants, feasible_interval
 
 __all__ = [
     "ReturnSeries",
@@ -244,13 +244,14 @@ def _terms(p: NDIGParams, emp: MomentSet,
     return dm1 * dm1, dm2 * dm2, dm3 * dm3, dm4 * dm4, dcf2
 
 
-def _value(p: NDIGParams, emp: MomentSet, ecf: np.ndarray) -> float:
-    return sum(_terms(p, emp, ecf)) + (FEASIBILITY_PENALTY if _excludes_w1(p) else 0.0)
+def _value(p: NDIGParams, emp: MomentSet, ecf: np.ndarray) -> tuple[float, tuple[float, ...]]:
+    """The objective at p, plus FEASIBILITY_PENALTY where ``max_damping`` raises, and its terms."""
+    terms = _terms(p, emp, ecf)
+    return sum(terms) + (FEASIBILITY_PENALTY if feasible_interval(p)[1] <= 1.0 else 0.0), terms
 
 
-def _matched(z: float, emp: MomentSet) -> NDIGParams | None:
+def _matched(z: float, emp: MomentSet, b_edge: float) -> NDIGParams | None:
     """The moment-matched parameters at b = b_edge / (1 + exp(-z)) if all are finite, else None."""
-    b_edge = _b_edge(emp)
     b = b_edge / (1.0 + math.exp(-z))
     root = _match_moments(b, b_edge, emp.skewness, emp.kurtosis - 3.0)
     if root is None:
@@ -321,14 +322,14 @@ def fit(series: ReturnSeries) -> FitResult:
 def _fit(returns: np.ndarray, ecf: np.ndarray) -> FitResult:
     """``fit`` of the returns ``returns``, whose ecf at ``ECF_NODES`` is ``ecf``."""
     emp = _checked_moments(returns)
-    evaluated: list[tuple[float, NDIGParams | None]] = []
+    b_edge = _b_edge(emp)
+    evaluated: list[tuple[float, tuple | None, NDIGParams | None]] = []  # value, terms, params
 
     def profile(z: float) -> float:
-        p = _matched(z, emp)
-        evaluated.append((UNMATCHED if p is None else _value(p, emp, ecf), p))
+        p = _matched(z, emp, b_edge)
+        evaluated.append((UNMATCHED, None, None) if p is None else (*_value(p, emp, ecf), p))
         return evaluated[-1][0]
 
-    b_edge = _b_edge(emp)
     if b_edge * LAMBDA_CAP > 1.0:
         # -z_cap and z_cap are the lambda_t = LAMBDA_CAP end and its mirror, in either order
         z_cap = abs(math.log(b_edge * LAMBDA_CAP - 1.0))
@@ -338,21 +339,14 @@ def _fit(returns: np.ndarray, ecf: np.ndarray) -> FitResult:
         if values[i] < UNMATCHED:
             j = (max(i - 1, 0), i, min(i + 1, N_SCAN - 1))
             _refine(profile, tuple(scan[k] for k in j), tuple(values[k] for k in j))
-    value, params = min(evaluated, key=lambda e: e[0], default=(UNMATCHED, None))
+    value, terms, params = min(evaluated, key=lambda e: e[0], default=(UNMATCHED, None, None))
     converged = params is not None
     if not converged:
-        params = NDIGParams(
-            mu3=emp.mean, sigma3=math.sqrt(emp.variance), rho=0.0,
-            lambda_t=LAMBDA_CAP, lambda_u=LAMBDA_CAP,
-        )
-        value = _value(params, emp, ecf)
-    return FitResult(
-        params=params,
-        objective_value=value,
-        term_breakdown=_terms(params, emp, ecf),
-        converged=converged,
-        evaluations=len(evaluated),
-    )
+        params = NDIGParams(mu3=emp.mean, sigma3=math.sqrt(emp.variance), rho=0.0,
+                            lambda_t=LAMBDA_CAP, lambda_u=LAMBDA_CAP)
+        value, terms = _value(params, emp, ecf)
+    return FitResult(params=params, objective_value=value, term_breakdown=terms,
+                     converged=converged, evaluations=len(evaluated))
 
 
 def rolling_fit(series: ReturnSeries, window: int = 1008, step: int = 1) -> RollingFitSeries:

@@ -189,15 +189,6 @@ def feasible_interval(p: NDIGParams) -> tuple[float, float]:
     return (-p.rho - disc) / s2, (-p.rho + disc) / s2
 
 
-def _excludes_w1(p: NDIGParams) -> bool:
-    """Whether ``feasible_interval(p)[1] <= 1``, in closed form.
-
-    The quadratic sigma3^2 w^2 + 2 rho w - c is negative at w = 0, so its
-    upper root is at most 1 exactly when it is non-negative at w = 1.
-    """
-    return p.sigma3**2 + 2.0 * p.rho >= min(p.lambda_t, p.lambda_u / 2.0)
-
-
 def max_damping(p: NDIGParams) -> float:
     """Largest Carr-Madan damping a such that w = 1 + a stays feasible.
 

@@ -214,17 +214,14 @@ def carr_madan_prices(
 
 
 def integrand_tail_ratio(p: NDIGParams, ctx: MarketContext, grid: FFTGridConfig) -> float:
-    """|integrand| at v_max relative to its on-grid peak (truncation check).
+    """|integrand| at v_max = n * dv relative to its peak on the lattice (truncation check).
 
     Raises ValueError for a damping outside (0, max_damping(p)), as
     ``carr_madan_prices`` does.
     """
     a = _checked_damping(p, grid)
-    k1 = cgf(1.0, p)
-    v = np.arange(grid.n) * grid.dv
-    mags = np.abs(_damped_integrand(v, p, ctx, a, k1))
-    tail = abs(complex(_damped_integrand(np.array([grid.v_max]), p, ctx, a, k1)[0]))
-    return tail / float(mags.max())
+    mags = np.abs(_damped_integrand(np.arange(grid.n + 1) * grid.dv, p, ctx, a, cgf(1.0, p)))
+    return float(mags[-1] / mags[:-1].max())
 
 
 def put_from_parity(call: float, ctx: MarketContext, strike: float) -> tuple[float, bool]:
@@ -241,16 +238,20 @@ def put_from_parity(call: float, ctx: MarketContext, strike: float) -> tuple[flo
     return raw, False
 
 
+def _mapped(f, x: np.ndarray) -> np.ndarray:
+    """The float function f of each element of x, in x's shape."""
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
 def _ndtr(x) -> np.ndarray:
     """Standard normal cdf 0.5 * erfc(-x * sqrt(1/2)), elementwise.
 
     Relative error at most about (1 + x^2) * 2**-52: rounding x * sqrt(1/2)
-    is the x^2 term.  bsm_price evaluates the same expression on floats, so
-    the solver's repricing equals it bit for bit.
+    is the x^2 term.  bsm_price evaluates the same expression on floats, and
+    the solver's repricing (``_bs_value``) equals it bit for bit, as
+    ``test_solver_repricing_equals_bsm_price_exactly`` checks.
     """
-    z = -np.asarray(x, dtype=float) * _SQRT_HALF
-    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), dtype=float, count=z.size)
-    return 0.5 * erfc.reshape(z.shape)
+    return 0.5 * _mapped(math.erfc, -np.asarray(x, dtype=float) * _SQRT_HALF)
 
 
 def bsm_price(ctx: MarketContext, strike: float, vol: float) -> float:
@@ -272,16 +273,33 @@ def implied_vol(ctx: MarketContext, strike: float, observed_price: float) -> flo
     (max(S - K e^{-r tau}, 0), S), or when no vol in [1e-8, 20] reprices it
     within 1e-10 * max(1, price).
     """
-    intrinsic = max(ctx.s0 - strike * math.exp(-ctx.r * ctx.maturity), 0.0)
+    intrinsic = max(ctx.s0 - float(_discounted_strikes(strike, ctx.r, ctx.maturity)), 0.0)
     if observed_price <= intrinsic or observed_price >= ctx.s0:
-        raise ValueError(
-            f"price {observed_price} outside no-arbitrage band "
-            f"({intrinsic:.6g}, {ctx.s0:.6g}); no implied volatility exists"
-        )
+        raise ValueError(f"price {observed_price} outside no-arbitrage band "
+                         f"({intrinsic:.6g}, {ctx.s0:.6g}); no implied volatility exists")
     vol = float(_implied_vols(ctx.s0, ctx.r, strike, ctx.maturity, observed_price))
     if math.isnan(vol):
         raise ValueError("implied volatility did not reach the price tolerance")
     return vol
+
+
+def _discounted_strikes(strikes, r: float, maturities) -> np.ndarray:
+    """Strikes times e^{-r tau} (math.exp's, as in bsm_price), broadcast against maturities."""
+    return strikes * _mapped(math.exp, -r * np.asarray(maturities, dtype=float))
+
+
+def _bs_cells(s0: float, r: float, k: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Rows tau, sqrt(tau), log(s0 / K) (math.log's) and K e^{-r tau} of the 1-d cells (k, tau)."""
+    return np.stack([tau, np.sqrt(tau), _mapped(math.log, s0 / k), _discounted_strikes(k, r, tau)])
+
+
+def _bs_value(vol, s0: float, r: float, cells: np.ndarray, sign=1.0):
+    """Black-Scholes call (sign 1) or put (sign -1), and d1, on cells led by ``_bs_cells``'s rows.
+    The call is bsm_price's expression term for term, so the two agree bit for bit."""
+    tau, sqrt_t, log_m, disc_k = cells[:4]
+    sq = vol * sqrt_t
+    d1 = (log_m + (r + 0.5 * vol * vol) * tau) / sq
+    return sign * (s0 * _ndtr(sign * d1) - disc_k * _ndtr(sign * (d1 - sq))), d1
 
 
 def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
@@ -297,23 +315,18 @@ def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
     cells = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (strikes, maturities, prices)))
     shape = cells[0].shape
     k, tau, c = (a.ravel() for a in cells)
-    sqrt_t = np.sqrt(tau)
-    log_m = np.log(s0 / k)
-    disc_k = k * np.exp(-r * tau)
-    intrinsic = np.maximum(s0 - disc_k, 0.0)
-    sign = np.where(disc_k < s0, -1.0, 1.0)
+    bs = _bs_cells(s0, r, k, tau)
+    intrinsic = np.maximum(s0 - bs[3], 0.0)
+    sign = np.where(bs[3] < s0, -1.0, 1.0)
     vols = np.full(c.shape, math.nan)
     with np.errstate(all="ignore"):
-        const = np.stack([sqrt_t, log_m, tau, sign, disc_k, np.log(c - intrinsic)])
+        const = np.vstack([bs, sign, np.log(c - intrinsic)])  # _bs_cells rows, sign, log target
 
         def excess_and_slope(vol, const):
             """(log OTM price - log target, OTM price / vega) at vol."""
-            sqrt_t, log_m, tau, sign, disc_k, target = const
-            sq = vol * sqrt_t
-            d1 = (log_m + (r + 0.5 * vol * vol) * tau) / sq
-            otm = sign * (s0 * _ndtr(sign * d1) - disc_k * _ndtr(sign * (d1 - sq)))
-            vega = s0 * sqrt_t * np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
-            return np.log(otm) - target, otm / vega
+            otm, d1 = _bs_value(vol, s0, r, const, const[4])
+            vega = s0 * const[1] * np.exp(-0.5 * d1 * d1) * _INV_SQRT_2PI
+            return np.log(otm) - const[5], otm / vega
 
         # a NaN excess is a negative OTM price from rounding: below the target
         ends = excess_and_slope(np.array([[_VOL_LO], [_VOL_HI]]), const[:, None, :])[0]
@@ -339,9 +352,7 @@ def _implied_vols(s0, r, strikes, maturities, prices) -> np.ndarray:
                 vols[live[done]] = x[done]
                 keep = ~done
                 live, x, lo_v, hi_v, const = live[keep], x[keep], lo_v[keep], hi_v[keep], const[:, keep]
-        sq = vols * sqrt_t
-        d1 = (log_m + (r + 0.5 * vols * vols) * tau) / sq
-        call = s0 * _ndtr(d1) - disc_k * _ndtr(d1 - sq)
+        call = _bs_value(vols, s0, r, bs)[0]
         vols[~(np.abs(call - c) <= _PRICE_TOL * np.maximum(1.0, c))] = math.nan
     return vols.reshape(shape)
 
@@ -379,12 +390,11 @@ def _chain(
     """
     k_req = np.log(strikes)
     calls = np.empty((len(maturities), len(strikes)))
-    disc_k = np.empty_like(calls)
     for i, tau in enumerate(maturities):
         ctx = MarketContext(s0=s0, r=r, maturity=float(tau))
         grid_strikes, grid_calls = carr_madan_prices(p, ctx, grid)
         calls[i] = _interp_calls(np.log(grid_strikes), grid_calls, k_req)
-        disc_k[i] = strikes * math.exp(-ctx.r * ctx.maturity)
+    disc_k = _discounted_strikes(strikes, r, maturities[:, None])
     parity = calls - s0 + disc_k
     floored = parity < 0.0
     slack = _BOUND_TOL * max(s0, 1.0)

@@ -18,6 +18,7 @@ from ndigvol import (
     empirical_moments,
     feasible_interval,
     fit,
+    max_damping,
     moments,
     objective,
     rolling_fit,
@@ -39,7 +40,6 @@ from ndigvol.estimate import (
     _terms,
     _value,
 )
-from ndigvol.model import _excludes_w1
 
 
 def make_series(returns) -> ReturnSeries:
@@ -160,7 +160,7 @@ class TestObjective:
         s = simulated_series(btc_params, 2000, seed=3)
         emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
         bad = NDIGParams(mu3=0.0, sigma3=1.0, rho=0.0, lambda_t=5.0, lambda_u=0.01)
-        assert _value(bad, emp, ecf) > 1e6
+        assert _value(bad, emp, ecf)[0] > 1e6
 
 
 class TestFoldedQuadrature:
@@ -203,13 +203,24 @@ NEAR_W1_BOUNDARY = W1_BOUNDARY + [
 
 
 class TestFeasibilityClosedForm:
-    def test_matches_feasible_interval(self):
+    def test_penalty_exactly_where_max_damping_raises(self, btc_params):
+        # the fit penalizes exactly the laws the pricer refuses
+        s = simulated_series(btc_params, 2000, seed=3)
+        emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
+
+        def refused(p):
+            try:
+                max_damping(p)
+            except ValueError:
+                return True
+            return False
+
         rng = np.random.default_rng(2024)
         draws = [random_params(rng) for _ in range(2000)] + NEAR_W1_BOUNDARY
-        excluded = [_excludes_w1(p) for p in draws]
-        assert excluded == [feasible_interval(p)[1] <= 1.0 for p in draws]
-        assert 0 < sum(excluded) < len(draws)
-        assert all(_excludes_w1(p) for p in W1_BOUNDARY)
+        penalized = [value != sum(terms) for value, terms in (_value(p, emp, ecf) for p in draws)]
+        assert penalized == [refused(p) for p in draws]
+        assert 0 < sum(penalized) < len(draws)
+        assert all(refused(p) for p in W1_BOUNDARY)
 
     def test_value_adds_penalty_exactly_when_w1_excluded(self, btc_params):
         s = simulated_series(btc_params, 2000, seed=3)
@@ -218,7 +229,8 @@ class TestFeasibilityClosedForm:
         draws = [random_params(rng) for _ in range(300)] + NEAR_W1_BOUNDARY
         for p in draws:
             penalty = FEASIBILITY_PENALTY if feasible_interval(p)[1] <= 1.0 else 0.0
-            assert _value(p, emp, ecf) == sum(_terms(p, emp, ecf)) + penalty
+            terms = _terms(p, emp, ecf)
+            assert _value(p, emp, ecf) == (sum(terms) + penalty, terms)
 
 
 class TestFit:
@@ -311,9 +323,9 @@ class TestProfileFit:
         s = simulated_series(btc_params, 2000, seed=9)
         emp, ecf = empirical_moments(s), empirical_chf(s, ECF_NODES)
         z_cap = math.log(_b_edge(emp) * LAMBDA_CAP - 1.0)
-        assert _matched(-z_cap, emp).lambda_t == pytest.approx(LAMBDA_CAP, rel=1e-12)
+        assert _matched(-z_cap, emp, _b_edge(emp)).lambda_t == pytest.approx(LAMBDA_CAP, rel=1e-12)
         for z in np.linspace(-z_cap, z_cap, 25):
-            p = _matched(float(z), emp)
+            p = _matched(float(z), emp, _b_edge(emp))
             assert p is not None
             assert max(_terms(p, emp, ecf)[:4]) < 1e-28
 
@@ -321,7 +333,7 @@ class TestProfileFit:
         # a root at the smallest positive a would make lambda_u = 1/a infinite
         emp = empirical_moments(simulated_series(btc_params, 2000, seed=9))
         monkeypatch.setattr(estimate, "_match_moments", lambda *args: (0.1, 5e-324))
-        assert _matched(0.0, emp) is None
+        assert _matched(0.0, emp, _b_edge(emp)) is None
 
     def test_narrow_profile_scans_upward(self, btc_params, monkeypatch):
         # with b_edge * LAMBDA_CAP in (1, 2) the cap's z is negative; the

@@ -586,6 +586,19 @@ class TestCli:
         assert payload["error"] == error
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option, error", [
+        (["--set", "horizon_days=2.5"], "config key 'horizon_days' must be a whole number >= 1, got 2.5"),
+        (["--set", "horizon_days=0"], "config key 'horizon_days' must be a whole number >= 1, got 0.0"),
+        (["--set", "horizon_days=nan"], "config key 'horizon_days' must be a whole number >= 1, got nan"),
+        (["--set", "horizon_days=inf"], "config key 'horizon_days' must be a whole number >= 1, got inf"),
+        (["--seed", "-1"], "config key 'seed' must be >= 0 for simulate, got -1"),
+    ])
+    def test_simulate_names_a_bad_horizon_or_seed(self, tmp_path, capsys, option, error):
+        assert main(["simulate", "--output-dir", str(tmp_path / "out"), *option]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("item, error", [
         ("s0=nan", "s0 must be positive and finite, got nan"),
         ("rate=nan", "rate r must be finite, got nan"),

@@ -19,7 +19,7 @@ from ndigvol import (
     put_from_parity,
     risk_neutral_chf,
 )
-from ndigvol.pricing import _implied_vols, _ndtr, integrand_tail_ratio
+from ndigvol.pricing import _bs_cells, _bs_value, _implied_vols, _ndtr, integrand_tail_ratio
 
 from oracles import bs_call, brentq_implied_vol, quad_call_price
 
@@ -32,6 +32,20 @@ BSM_LIMIT = NDIGParams(mu3=0.004, sigma3=0.0551, rho=0.0, lambda_t=1e6, lambda_u
 
 def atm_ctx(tau=30 / 365) -> MarketContext:
     return MarketContext(s0=100.0, r=0.02, maturity=tau)
+
+
+def bsm_cells(n: int):
+    """n (context, strike, vol) cells: spots 0.5-5000, rates -2% to 10%,
+    maturities 1 day to 5 years, log-moneyness within 1.5, vols 1%-500%."""
+    rng = np.random.default_rng(11)
+    for _ in range(n):
+        ctx = MarketContext(
+            s0=float(rng.uniform(0.5, 5000.0)), r=float(rng.uniform(-0.02, 0.1)),
+            maturity=float(np.exp(rng.uniform(math.log(1 / 365), math.log(5.0)))),
+        )
+        strike = ctx.s0 * float(np.exp(rng.uniform(-1.5, 1.5)))
+        vol = float(np.exp(rng.uniform(math.log(0.01), math.log(5.0))))
+        yield ctx, strike, vol
 
 
 class TestRiskNeutralChf:
@@ -163,18 +177,19 @@ class TestParityAndBsm:
     def test_bsm_matches_ndtr_form_exactly(self):
         # the solver reprices with _ndtr, so bsm_price must equal that form
         # bit for bit
-        rng = np.random.default_rng(11)
-        for _ in range(2000):
-            ctx = MarketContext(
-                s0=float(rng.uniform(0.5, 5000.0)), r=float(rng.uniform(-0.02, 0.1)),
-                maturity=float(np.exp(rng.uniform(math.log(1 / 365), math.log(5.0)))),
-            )
-            strike = ctx.s0 * float(np.exp(rng.uniform(-1.5, 1.5)))
-            vol = float(np.exp(rng.uniform(math.log(0.01), math.log(5.0))))
+        for ctx, strike, vol in bsm_cells(2000):
             sq = vol * math.sqrt(ctx.maturity)
             d1 = (math.log(ctx.s0 / strike) + (ctx.r + 0.5 * vol * vol) * ctx.maturity) / sq
             ref = ctx.s0 * _ndtr(d1) - strike * math.exp(-ctx.r * ctx.maturity) * _ndtr(d1 - sq)
             assert bsm_price(ctx, strike, vol) == ref
+
+    def test_solver_repricing_equals_bsm_price_exactly(self):
+        # the implied-vol solver accepts a vol by repricing the call with
+        # _bs_value on _bs_cells; that price is bsm_price's, bit for bit
+        for ctx, strike, vol in bsm_cells(5000):
+            cells = _bs_cells(ctx.s0, ctx.r, np.array([strike]), np.array([ctx.maturity]))
+            call = _bs_value(np.array([vol]), ctx.s0, ctx.r, cells)[0]
+            assert float(call[0]) == bsm_price(ctx, strike, vol)
 
     def test_bsm_monotone_in_vol(self):
         ctx = atm_ctx()
