@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimate import RollingFitSeries, rolling_fit
+from .estimate import ReturnSeries, RollingFitSeries, rolling_fit
 from .io import (
     PriceSeries,
     RunConfig,
@@ -141,8 +141,8 @@ def _bvix(prices: PriceSeries, rolling: RollingFitSeries, rates, config: BvixCon
     return series
 
 
-def _rolling(prices: PriceSeries, config: RunConfig) -> RollingFitSeries:
-    return rolling_fit(returns_from_prices(prices), window=config.window, step=config.step)
+def _rolling(returns: ReturnSeries, config: RunConfig) -> RollingFitSeries:
+    return rolling_fit(returns, window=config.window, step=config.step)
 
 
 def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> list[Path]:
@@ -160,8 +160,8 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
         emit("fit_params.csv", write_rolling_fit_csv, rolling_fit(returns, window=len(returns)))
 
     elif command == "rollfit":
-        prices = _require_input(args)
-        emit("rolling_params.csv", write_rolling_fit_csv, _rolling(prices, config))
+        rolling = _rolling(returns_from_prices(_require_input(args)), config)
+        emit("rolling_params.csv", write_rolling_fit_csv, rolling)
 
     elif command == "simulate":
         params = _params(config)
@@ -195,13 +195,13 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
     elif command == "itvol":
         prices = _require_input(args)
         _check_annualization(config.annualization)
-        series = ndig_it_series(_rolling(prices, config), config.annualization)
+        series = ndig_it_series(_rolling(returns_from_prices(prices), config), config.annualization)
         emit("ndig_it.csv", write_volatility_csv, series)
 
     elif command == "bvix":
         prices = _require_input(args)
         rates, bvix_config = _rates(config), _bvix_config(config)  # a bad band fails before the fit
-        series = _bvix(prices, _rolling(prices, config), rates, bvix_config)
+        series = _bvix(prices, _rolling(returns_from_prices(prices), config), rates, bvix_config)
         emit("bvix.csv", write_volatility_csv, series)
 
     elif command == "pipeline":
@@ -214,7 +214,7 @@ def run_command(command: str, args: argparse.Namespace, config: RunConfig) -> li
         n_windows = len(range(0, len(returns) - config.window + 1, config.step))
         if n_windows < 2:
             raise ValueError(f"pipeline needs at least 2 fit windows to normalize, got {n_windows}")
-        rolling = _rolling(prices, config)
+        rolling = _rolling(returns, config)
         series = {
             "std": rolling_std_vol(returns, config.window, config.annualization),
             "ndig_it": ndig_it_series(rolling, config.annualization),

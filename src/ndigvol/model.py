@@ -103,7 +103,8 @@ def cgf(w: float, p: NDIGParams) -> float:
 def chf_exponent(u: ComplexLike, p: NDIGParams) -> ComplexLike:
     """Characteristic exponent psi(u) = log E[exp(i*u*X_1)], complex-safe.
 
-    Accepts scalars or numpy arrays.  For u = v - i*b with damping b such
+    Accepts scalars or numpy arrays; the fields of p may also be arrays,
+    which broadcast against u.  For u = v - i*b with damping b such
     that w = 1 + b stays inside the feasible interval, both nested
     radicands keep a positive real part for every real v, so the principal
     square root never crosses a branch cut.
@@ -136,7 +137,7 @@ def cumulants(p: NDIGParams) -> tuple[float, float, float, float]:
     Derived by differentiating K(w) = mu3*w + phi_U(phi_T(rho*w + sigma3^2
     w^2 / 2)) at 0, where phi_T, phi_U are the IG Laplace exponents with
     unit mean; validated against arbitrary-precision differentiation of the
-    cgf.
+    cgf.  The fields of p may be arrays of one shape, a batch of laws.
     """
     lt, lu = p.lambda_t, p.lambda_u
     rho, s3sq = p.rho, p.sigma3**2
@@ -182,10 +183,14 @@ def feasible_interval(p: NDIGParams) -> tuple[float, float]:
     The outer condition is sufficient, not exact: the outer radicand stays
     non-negative somewhat beyond w_hi (at the BTC reference fit up to w =
     7.16677, against w_hi = 5.15732).  Every operation in this package
-    treats this interval as the cgf domain.
+    treats this interval as the cgf domain.  The fields of p may be arrays
+    of one shape, a batch of laws.
     """
     s2 = p.sigma3**2
-    disc = math.sqrt(p.rho * p.rho + s2 * min(p.lambda_t, p.lambda_u / 2.0))
+    # on floats numpy's functions cost about 1 us more a call, and the fit's
+    # refinement calls this on every step
+    sqrt, minimum = (math.sqrt, min) if isinstance(s2, float) else (np.sqrt, np.minimum)
+    disc = sqrt(p.rho * p.rho + s2 * minimum(p.lambda_t, p.lambda_u / 2.0))
     return (-p.rho - disc) / s2, (-p.rho + disc) / s2
 
 

@@ -269,10 +269,15 @@ def bsm_price(ctx: MarketContext, strike: float, vol: float) -> float:
 def implied_vol(ctx: MarketContext, strike: float, observed_price: float) -> float:
     """Invert bsm_price for the annualized volatility, price tolerance 1e-10.
 
-    Raises when the observed price sits outside the no-arbitrage band
+    Raises for a strike that is not positive and finite or a non-finite
+    price, when the observed price sits outside the no-arbitrage band
     (max(S - K e^{-r tau}, 0), S), or when no vol in [1e-8, 20] reprices it
     within 1e-10 * max(1, price).
     """
+    if not 0.0 < strike < math.inf:
+        raise ValueError(f"strike must be positive and finite, got {strike}")
+    if not math.isfinite(observed_price):
+        raise ValueError(f"observed_price must be finite, got {observed_price}")
     intrinsic = max(ctx.s0 - float(_discounted_strikes(strike, ctx.r, ctx.maturity)), 0.0)
     if observed_price <= intrinsic or observed_price >= ctx.s0:
         raise ValueError(f"price {observed_price} outside no-arbitrage band "

@@ -365,6 +365,8 @@ class TestRefine:
     # f'' dz^2 / 2; the refined value is at most 5.8e-10 relative above the
     # dense minimum on these windows
     REL_TOL = 1e-8
+    # scan values against scalar _value at the same z
+    SCAN_REL_TOL = 1e-14
 
     @staticmethod
     def _searches(monkeypatch) -> list:
@@ -398,6 +400,34 @@ class TestRefine:
             assert max(f) == UNMATCHED
             assert res.objective_value <= _dense_minimum(profile, x) * (1.0 + self.REL_TOL)
             assert res.evaluations < estimate.N_SCAN + estimate.MAX_REFINE
+
+    def test_scan_values_equal_scalar_values(self, btc_params, monkeypatch):
+        # _refine puts scan values and scalar values through one parabola; the
+        # forms differ only where numpy's pow and Python's round differently,
+        # in the moment terms, which the match leaves near 1e-30
+        scans = []
+        scan = estimate._scan
+
+        def recorded(emp, b_edge, ecf):
+            scans.append(((emp, b_edge, ecf), scan(emp, b_edge, ecf)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(estimate, "_scan", recorded)
+        rolling_fit(make_series(_regime_returns(btc_params, 300, seed=11)), step=10)
+        for seed in (630, 2280, 2390):
+            fit(make_series(_regime_returns(btc_params, 252, seed=seed)))
+        n_unmatched = 0
+        for (emp, b_edge, ecf), (z, values, _, _) in scans:
+            for i, (z_row, row) in enumerate(zip(z, values)):
+                for z_j, value in zip(z_row.tolist(), row.tolist()):
+                    p = _matched(z_j, estimate._window(emp, i), float(b_edge[i]))
+                    if p is None:
+                        n_unmatched += 1
+                        assert value == UNMATCHED
+                    else:
+                        scalar = _value(p, estimate._window(emp, i), ecf[i])[0]
+                        assert value == pytest.approx(scalar, rel=self.SCAN_REL_TOL, abs=0.0)
+        assert len(scans) == 4 and 0 < n_unmatched < 23 * estimate.N_SCAN
 
     def test_best_scan_point_at_either_end(self):
         # the best point is doubled; the minimum is on that end, near it or inside
@@ -440,19 +470,40 @@ class TestRollingFit:
             with pytest.raises(ValueError, match=message):
                 rolling_fit(s, window=window)
 
-    def test_each_window_equals_its_fit(self, btc_params):
-        # each window's ecf comes from one table of the whole series; it must
-        # give the fit of a series built from that window alone, bit for bit
-        cases = (
-            (simulated_series(btc_params, 1012, seed=10), 2, 3),
-            (returns_from_prices(load_prices(CLOSES)), 1, 22),
+    def test_each_window_equals_its_fit(self, btc_params, monkeypatch):
+        # each window's ecf comes from one table of the whole series and its
+        # scan from one array pass over a block of windows; it must give the
+        # fit of a series built from that window alone, bit for bit
+        golden = returns_from_prices(load_prices(CLOSES))
+        heavy = simulated_series(btc_params, 400, seed=12).returns
+        # uniform returns (excess kurtosis near -1.2) match no NDIG law
+        flat = np.random.default_rng(3).uniform(-0.05, 0.05, 200)
+        cases = (  # series, window, step, windows, FIT_BLOCK
+            (simulated_series(btc_params, 1012, seed=10), 1008, 2, 3, estimate.FIT_BLOCK),
+            (golden, 1008, 1, 22, estimate.FIT_BLOCK),
+            (golden, 1008, 1, 22, 5),  # four block boundaries inside the series
+            (make_series(np.concatenate([heavy, flat, heavy])), 150, 50, 18, estimate.FIT_BLOCK),
         )
-        for s, step, n_windows in cases:
-            roll = rolling_fit(s, window=1008, step=step)
+        for s, window, step, n_windows, block in cases:
+            monkeypatch.setattr(estimate, "FIT_BLOCK", block)
+            roll = rolling_fit(s, window=window, step=step)
             assert len(roll.results) == n_windows
             for k, result in enumerate(roll.results):
-                w = slice(step * k, step * k + 1008)
+                w = slice(step * k, step * k + window)
                 assert result == fit(ReturnSeries(dates=s.dates[w], returns=s.returns[w]))
+        # the last case's block mixes Gaussian-limit windows with matched ones
+        assert {result.converged for result in roll.results} == {True, False}
+        for result in roll.results:
+            if not result.converged:
+                assert (result.params.rho, result.params.lambda_t) == (0.0, LAMBDA_CAP)
+
+    def test_zero_variance_window_mid_series_rejected(self, btc_params, monkeypatch):
+        # windows 15 and 16 are constant, in the eighth and ninth blocks of 2
+        monkeypatch.setattr(estimate, "FIT_BLOCK", 2)
+        r = np.concatenate([simulated_series(btc_params, 300, seed=4).returns, np.full(120, 0.01),
+                            simulated_series(btc_params, 300, seed=5).returns])
+        with pytest.raises(ValueError, match="^degenerate return series: zero variance$"):
+            rolling_fit(make_series(r), window=100, step=20)
 
     def test_stationary_series_has_stable_trajectory(self, btc_params):
         # level-trajectory translation of the no-trend property: overlapping

@@ -215,6 +215,16 @@ class TestImpliedVol:
         with pytest.raises(ValueError, match="band"):
             implied_vol(ctx, 80.0, 101.0)
 
+    @pytest.mark.parametrize("strike, price, message", [
+        (100.0, math.nan, "observed_price must be finite, got nan"),
+        (math.nan, 5.0, "strike must be positive and finite, got nan"),
+        (math.inf, 5.0, "strike must be positive and finite, got inf"),
+    ])
+    def test_non_finite_input_named(self, strike, price, message):
+        # a NaN passes the band check's comparisons, and an inf strike fails in math.log
+        with pytest.raises(ValueError, match=message):
+            implied_vol(MarketContext(100.0, 0.02, 30 / 365), strike, price)
+
     def test_model_atm_vol_regression(self, btc_params):
         # round-trip regression pin for the model's ATM implied vol
         ctx = atm_ctx()
